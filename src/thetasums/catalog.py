@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -38,7 +38,7 @@ from .transfer import (
     Decomposition,
     TransferRecord,
     derive_sums,
-    rhs_bound,
+    transfer_universality,
     verify_decomposition,
 )
 
@@ -81,6 +81,18 @@ class Catalog:
 
     def of_kind(self, kind: str) -> list[CatalogEntry]:
         return [e for e in self.entries if e.kind == kind]
+
+    @cached_property
+    def theorem_anchors(self) -> dict[tuple, str]:
+        """Family-key index of every theorem target and chain member."""
+        index: dict[tuple, str] = {}
+        for e in self.entries:
+            if e.kind == "target-sum" and e.key.startswith("thm"):
+                index.setdefault(sum_families(e.target), e.key)
+            elif e.kind == "equivalence" and e.key.startswith("thm3.4"):
+                for s in e.chain:
+                    index.setdefault(sum_families(s), e.key)
+        return index
 
     def __len__(self):
         return len(self.entries)
@@ -249,20 +261,24 @@ def _match_claims(rec: TransferRecord, claims: tuple[PolygonalSum, ...]) -> str 
     return None
 
 
-def _check_decomposition(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
-) -> Row:
+@lru_cache(maxsize=256)
+def _verified_decomposition(d: Decomposition, order: int):
+    return verify_decomposition(d, order)
+
+
+def _check_decomposition(entry: CatalogEntry, order: int, bound: int) -> Row:
     d = entry.decomposition
-    outcome = verify_decomposition(d, order)
+    outcome = _verified_decomposition(d, order)
     if not outcome.ok:
         return Row(entry.key, entry.kind, "fail", outcome.detail)
     rec = derive_sums(d, entry.key)
+    transfer = transfer_universality(rec, (), bound)
     problems = []
     if entry.claims:
         mismatch = _match_claims(rec, entry.claims)
         if mismatch:
             problems.append(mismatch)
-    lhs_verdict = certify_universal(rec.lhs_sum, bound)
+    lhs_verdict = transfer.lhs_verdict
     if not lhs_verdict.universal:
         problems.append(
             f"lhs sum {sum_label(rec.lhs_sum)} missing {lhs_verdict.missing[:3]}"
@@ -274,9 +290,7 @@ def _check_decomposition(
         eq, witness = equivalent_upto(rec.lhs_sum, entry.base, bound)
         if not eq:
             problems.append(f"lhs and base value sets differ at {witness}")
-    for s, shift in zip(rec.rhs_sums, rec.shifts):
-        derived = max(1, rhs_bound(bound, shift, rec.modulus))
-        verdict = certify_universal(s, derived)
+    for s, derived, verdict in transfer.rhs_results:
         if not verdict.universal:
             problems.append(
                 f"rhs {sum_label(s)} missing {verdict.missing[:3]} up to {derived}"
@@ -325,22 +339,6 @@ def _check_base_fact(entry: CatalogEntry, bound: int) -> Row:
     )
 
 
-def _theorem_anchor_keys(catalog: Catalog) -> dict[tuple, str]:
-    """Family-key index of every theorem target and chain member."""
-    cached = getattr(catalog, "_anchor_index", None)
-    if cached is not None:
-        return cached
-    index: dict[tuple, str] = {}
-    for e in catalog.entries:
-        if e.kind == "target-sum" and e.key.startswith("thm"):
-            index.setdefault(sum_families(e.target), e.key)
-        elif e.kind == "equivalence" and e.key.startswith("thm3.4"):
-            for s in e.chain:
-                index.setdefault(sum_families(s), e.key)
-    catalog._anchor_index = index
-    return index
-
-
 def _check_target(
     entry: CatalogEntry, bound: int, catalog: Catalog, order: int
 ) -> Row:
@@ -359,8 +357,7 @@ def _check_target(
             return Row(entry.key, entry.kind, "fail", err)
         notes.append(f"via {entry.via}")
     if entry.anchor is not None or entry.key.startswith("sec1"):
-        index = _theorem_anchor_keys(catalog)
-        hit = index.get(sum_families(entry.target))
+        hit = catalog.theorem_anchors.get(sum_families(entry.target))
         if entry.anchor == "none":
             if hit:
                 return Row(
@@ -372,11 +369,6 @@ def _check_target(
         else:
             notes.append(f"anchored at {hit}")
     return Row(entry.key, entry.kind, "pass", "; ".join(notes))
-
-
-@lru_cache(maxsize=256)
-def _verified_decomposition(d: Decomposition, order: int):
-    return verify_decomposition(d, order)
 
 
 def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
@@ -418,7 +410,7 @@ def check_entry(entry: CatalogEntry, order: int, bound: int, catalog: Catalog) -
     if entry.kind == "identity":
         return _check_identity(entry, order)
     if entry.kind == "decomposition":
-        return _check_decomposition(entry, order, bound, catalog)
+        return _check_decomposition(entry, order, bound)
     if entry.kind == "equivalence":
         return _check_equivalence(entry, bound)
     if entry.kind == "base-fact":
@@ -461,8 +453,7 @@ class Report:
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(path, order, bound):
-    catalog = load_catalog(path)
+def _init_worker(catalog, order, bound):
     _WORKER_STATE["catalog"] = catalog
     _WORKER_STATE["order"] = order
     _WORKER_STATE["bound"] = bound
@@ -482,7 +473,6 @@ def run_catalog(
     kinds: tuple[str, ...] | None = None,
     keys: list[str] | None = None,
     workers: int = 1,
-    catalog_path=None,
 ) -> Report:
     """Check every selected entry and return one row per entry, key-sorted."""
     selected = catalog.entries
@@ -498,7 +488,7 @@ def run_catalog(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(catalog_path, order, bound),
+            initargs=(catalog, order, bound),
         ) as pool:
             rows = list(pool.map(_worker_check, [e.key for e in selected], chunksize=8))
     else:

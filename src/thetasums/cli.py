@@ -31,18 +31,18 @@ def _add_common(parser, order=False, bound=False, batch=False):
         parser.add_argument("--order", type=int, default=1000, help="series truncation order")
     if bound:
         parser.add_argument("--bound", type=int, default=50000, help="certification bound")
+    parser.add_argument(
+        "--format",
+        choices=("human", "report"),
+        default="human",
+        help="human-readable lines or a JSON report",
+    )
     if batch:
         parser.add_argument(
             "--workers",
             type=int,
             default=os.cpu_count() or 1,
             help="parallel workers for batch checks",
-        )
-        parser.add_argument(
-            "--format",
-            choices=("human", "report"),
-            default="human",
-            help="human-readable lines or a JSON report",
         )
         parser.add_argument(
             "--catalog",
@@ -61,9 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand a theta expression into coefficients")
     p.add_argument("expression")
     _add_common(p, order=True)
-    p.add_argument(
-        "--format", choices=("human", "report"), default="human", help="output format"
-    )
 
     p = sub.add_parser("verify", help="verify catalog identities/decompositions")
     p.add_argument("keys", nargs="+", help="catalog keys, 'all', or a catalog file path")
@@ -72,17 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("universal", help="certify a polygonal sum up to a bound")
     p.add_argument("sum")
     _add_common(p, bound=True)
-    p.add_argument(
-        "--format", choices=("human", "report"), default="human", help="output format"
-    )
 
     p = sub.add_parser("equiv", help="compare the value sets of two sums")
     p.add_argument("left")
     p.add_argument("right")
     _add_common(p, bound=True)
-    p.add_argument(
-        "--format", choices=("human", "report"), default="human", help="output format"
-    )
 
     p = sub.add_parser("reproduce", help="re-certify a whole result table")
     p.add_argument("theorem", choices=REPRODUCE_IDS)
@@ -144,12 +135,10 @@ def cmd_verify(args) -> int:
         if catalog is None:
             return EXIT_USAGE
         wanted = None
-        path = keys[0]
     else:
         catalog = _load_catalog_arg(args.catalog)
         if catalog is None:
             return EXIT_USAGE
-        path = args.catalog
         if keys == ["all"]:
             wanted = [
                 e.key
@@ -167,7 +156,6 @@ def cmd_verify(args) -> int:
         bound=args.bound,
         keys=wanted,
         workers=args.workers,
-        catalog_path=path,
     )
     return _emit_report(report, args.format)
 
@@ -249,7 +237,6 @@ def cmd_reproduce(args) -> int:
         bound=args.bound,
         keys=keys,
         workers=args.workers,
-        catalog_path=args.catalog,
     )
     return _emit_report(report, args.format)
 

@@ -5,6 +5,11 @@ PolygonalSum is a finite list of them.  Certification of universality is
 bounded and sieve-based: value sets become bitmasks (Python ints) and the
 sumset of two masks is an OR of shifts, so only positivity is ever
 computed unless representation counts are asked for explicitly.
+
+QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
+same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
+canonical atoms (i <= j) this inverts the map transfer.derive_sums applies,
+and it is how representation counts come from theta.product_series.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from functools import lru_cache
 from math import gcd
 
 from .series import Series
+from .theta import ThetaAtom, product_series
 
 
 @dataclass(frozen=True, order=True)
@@ -43,7 +49,7 @@ class QuadTerm:
     def value(self, x: int) -> int:
         return self.coeff * (x * (self.a * x + self.b)) // 2
 
-    def values_upto(self, bound: int, nonneg: bool = False) -> list[int]:
+    def values_upto(self, bound: int) -> list[int]:
         """All family values <= bound, in evaluation order (may repeat)."""
         out = []
         x = 0
@@ -53,14 +59,13 @@ class QuadTerm:
                 break
             out.append(v)
             x += 1
-        if not nonneg:
-            x = -1
-            while True:
-                v = self.value(x)
-                if v > bound:
-                    break
-                out.append(v)
-                x -= 1
+        x = -1
+        while True:
+            v = self.value(x)
+            if v > bound:
+                break
+            out.append(v)
+            x -= 1
         return out
 
 
@@ -110,33 +115,25 @@ def sum_from_polygonals(parts: list[tuple[int, int]]) -> PolygonalSum:
     return PolygonalSum(tuple(term_from_polygonal(c, m) for c, m in parts))
 
 
-def term_series(term: QuadTerm, order: int) -> Series:
-    """Coefficient at e counts the x in Z with term.value(x) == e, e < order."""
-    coeffs = [0] * order
-    for v in term.values_upto(order - 1):
-        coeffs[v] += 1
-    return Series(coeffs, order)
-
-
 def representation_series(s: PolygonalSum, bound: int) -> Series:
     """Exact representation counts of 0..bound (series order bound+1)."""
-    order = bound + 1
-    result = term_series(s.terms[0], order)
-    for t in s.terms[1:]:
-        result = result.mul(term_series(t, order))
-    return result
+    atoms = tuple(
+        ThetaAtom(t.coeff * (t.a + t.b) // 2, t.coeff * (t.a - t.b) // 2)
+        for t in s.terms
+    )
+    return product_series(atoms, bound + 1)
 
 
 @lru_cache(maxsize=4096)
-def _term_mask(term: QuadTerm, bound: int, nonneg: bool) -> int:
+def _term_mask(term: QuadTerm, bound: int) -> int:
     mask = 0
-    for v in term.values_upto(bound, nonneg):
+    for v in term.values_upto(bound):
         mask |= 1 << v
     return mask
 
 
 @lru_cache(maxsize=4096)
-def sum_value_mask(s: PolygonalSum, bound: int, nonneg: bool = False) -> int:
+def sum_value_mask(s: PolygonalSum, bound: int) -> int:
     """Bitmask of representable integers in [0, bound].
 
     Sumsets are folded in by shifting the accumulated mask by each raw
@@ -144,12 +141,12 @@ def sum_value_mask(s: PolygonalSum, bound: int, nonneg: bool = False) -> int:
     every term reaches 0.
     """
     full = (1 << (bound + 1)) - 1
-    acc = _term_mask(s.terms[0], bound, nonneg)
+    acc = _term_mask(s.terms[0], bound)
     for t in s.terms[1:]:
         if acc == full:
             return full
         shifted = 0
-        for v in t.values_upto(bound, nonneg):
+        for v in t.values_upto(bound):
             shifted |= acc << v
         acc = shifted & full
     return acc
@@ -165,12 +162,12 @@ def _mask_bits(mask: int) -> list[int]:
 
 
 @lru_cache(maxsize=4096)
-def certify_universal(s: PolygonalSum, bound: int, nonneg: bool = False) -> UniversalityVerdict:
+def certify_universal(s: PolygonalSum, bound: int) -> UniversalityVerdict:
     """Sieve every integer in [0, bound]; missing is the sorted gap list."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     full = (1 << (bound + 1)) - 1
-    gaps = full & ~sum_value_mask(s, bound, nonneg)
+    gaps = full & ~sum_value_mask(s, bound)
     return UniversalityVerdict(bound, tuple(_mask_bits(gaps)))
 
 

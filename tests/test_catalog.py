@@ -133,3 +133,17 @@ def test_env_var_catalog_path(tmp_path, monkeypatch):
     monkeypatch.setenv("THETASUMS_CATALOG", str(target))
     catalog = load_catalog()
     assert [e.key for e in catalog.entries] == ["only"]
+
+
+def test_parallel_run_checks_the_given_catalog():
+    # The key eq-2.12 also names a true identity in the packaged catalog.
+    text = (
+        '[eq-2.12] kind: identity ref: "x"\nlhs: phi(q)\nrhs: psi(q)\n\n'
+        '[only-here] kind: identity ref: "x"\nlhs: phi(q)\nrhs: phi(q)\n'
+    )
+    catalog = Catalog(parse_catalog_text(text))
+    report = run_catalog(catalog, order=50, bound=100, workers=2)
+    assert [(r.key, r.status) for r in report.rows] == [
+        ("eq-2.12", "fail"),
+        ("only-here", "pass"),
+    ]

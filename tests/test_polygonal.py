@@ -17,7 +17,6 @@ from thetasums.polygonal import (
     sum_label,
     sum_value_mask,
     term_from_polygonal,
-    term_series,
 )
 
 from oracles import brute_counts, brute_missing
@@ -56,12 +55,15 @@ def test_quad_term_validation():
 def test_term_series():
     # Every triangular value is hit by two arguments (x and -x-1), so the
     # two-sided count is twice the one-sided one, exponent 0 included.
+    def one_term(term, bound):
+        return representation_series(PolygonalSum((term,)), bound).coeffs
+
     tri = term_from_polygonal(1, 3)
-    assert term_series(tri, 8).coeffs == (2, 2, 0, 2, 0, 0, 2, 0)
+    assert one_term(tri, 7) == (2, 2, 0, 2, 0, 0, 2, 0)
     square = term_from_polygonal(1, 4)
-    assert term_series(square, 10).coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
+    assert one_term(square, 9) == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
     doubled = QuadTerm(1, 2, 0)  # x^2 via a=2, b=0
-    coeffs = term_series(doubled, 10).coeffs
+    coeffs = one_term(doubled, 9)
     assert coeffs[0] == 1 and coeffs[1] == 2 and coeffs[4] == 2 and coeffs[9] == 2
 
 
@@ -205,12 +207,12 @@ def test_sum_label():
     assert sum_label(s) == "6*p3 + p5 + 2*p8"
 
 
-def test_nonneg_mode_restricts_value_sets():
-    pent = parse_polygonal_sum("p5")
-    full = sum_value_mask(pent, 30)
-    nonneg = sum_value_mask(pent, 30, nonneg=True)
-    assert nonneg & ~full == 0
-    assert (full >> 2) & 1 == 1  # p5(-1) = 2 present over Z
-    assert (nonneg >> 2) & 1 == 0  # but not with x >= 0 only
-    tri = parse_polygonal_sum("p3")
-    assert sum_value_mask(tri, 100) == sum_value_mask(tri, 100, nonneg=True)
+def test_certify_and_equivalence_share_one_sieve_entry():
+    # A bound and sums no other test uses, so both start uncached.
+    s = parse_polygonal_sum("3*p5 + 7*p8")
+    t = parse_polygonal_sum("7*p5 + 3*p8")
+    bound = 4321
+    certify_universal(s, bound)
+    misses = sum_value_mask.cache_info().misses
+    equivalent_upto(s, t, bound)
+    assert sum_value_mask.cache_info().misses == misses + 1
