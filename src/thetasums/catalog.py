@@ -6,20 +6,25 @@ Catalog files are plain text, one entry per block:
     field: value
     ...
 
-with a blank line between blocks and '#' comments.  Kinds and their fields:
+with a blank line between blocks and '#' comments.  Each kind allows only
+these fields:
 
     identity       lhs:, rhs:            theta expressions; checked by series
     decomposition  lhs:, modulus:, rhs:, base:, claims:  (claims '|'-separated)
-    equivalence    chain:                sums joined by '~', checked pairwise
+    equivalence    chain:, certify:      sums joined by '~', checked pairwise;
+                                         'certify: members' certifies each sum
     base-fact      sum:                  externally known sum, re-certified
-    target-sum     sum:, via:, anchor:   certified; via names its derivation
+    target-sum     sum:, via:, anchor:   certified; 'via: KEY [rN]' names its
+                                         derivation, 'anchor: none' asserts
+                                         that no theorem lists the sum
 
-Entries parse at load time; malformed data is a startup failure.
+Entries parse at load time; malformed data, including a field the kind does
+not allow, is a startup failure.
 """
 
 from __future__ import annotations
 
-import os
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -42,7 +47,13 @@ from .transfer import (
     verify_decomposition,
 )
 
-KINDS = ("identity", "decomposition", "equivalence", "base-fact", "target-sum")
+FIELDS = {
+    "identity": ("lhs", "rhs"),
+    "decomposition": ("lhs", "modulus", "rhs", "base", "claims"),
+    "equivalence": ("chain", "certify"),
+    "base-fact": ("sum",),
+    "target-sum": ("sum", "via", "anchor"),
+}
 
 
 class CatalogError(ValueError):
@@ -111,7 +122,7 @@ def _parse_header(line: str, where: str) -> tuple[str, str, str]:
     rest = rest[5:].strip()
     parts = rest.split("ref:", 1)
     kind = parts[0].strip()
-    if kind not in KINDS:
+    if kind not in FIELDS:
         raise CatalogError(f"{where}: unknown kind {kind!r}")
     ref = ""
     if len(parts) == 2:
@@ -138,6 +149,10 @@ def parse_catalog_text(text: str, where: str = "<catalog>") -> list[CatalogEntry
         if not sep:
             raise CatalogError(f"{loc}: expected 'field: value', got {line!r}")
         name = name.strip()
+        if name not in FIELDS[current.kind]:
+            raise CatalogError(
+                f"{loc}: field {name!r} not allowed for kind {current.kind}"
+            )
         if name in current.fields:
             raise CatalogError(f"{loc}: duplicate field {name!r} in [{current.key}]")
         current.fields[name] = value.strip()
@@ -175,19 +190,22 @@ def _parse_payload(entry: CatalogEntry) -> None:
             entry.chain = tuple(dsl.parse_chain(_require(entry, "chain")))
             if len(entry.chain) < 2:
                 raise CatalogError(f"[{entry.key}]: chain needs at least two sums")
+            if entry.fields.get("certify", "members") != "members":
+                raise CatalogError(f"[{entry.key}]: certify must be 'members'")
         elif entry.kind == "base-fact":
             entry.target = dsl.parse_polygonal_sum(_require(entry, "sum"))
         elif entry.kind == "target-sum":
             entry.target = dsl.parse_polygonal_sum(_require(entry, "sum"))
             entry.via = entry.fields.get("via")
+            if entry.via is not None and not re.fullmatch(r"\S+(\s+r[0-9]+)?", entry.via):
+                raise CatalogError(f"[{entry.key}]: via must be 'KEY' or 'KEY rN'")
             entry.anchor = entry.fields.get("anchor")
+            if entry.anchor not in (None, "none"):
+                raise CatalogError(f"[{entry.key}]: anchor must be 'none'")
     except (dsl.ParseError, ValueError) as exc:
         if isinstance(exc, CatalogError):
             raise
         raise CatalogError(f"[{entry.key}]: {exc}") from None
-
-
-ENV_CATALOG = "THETASUMS_CATALOG"
 
 
 def default_catalog_dir():
@@ -195,13 +213,8 @@ def default_catalog_dir():
 
 
 def load_catalog(path: str | Path | None = None) -> Catalog:
-    """Load a catalog from a file, a directory of *.cat files, or the default.
-
-    With no path, the THETASUMS_CATALOG environment variable is consulted
-    and then the packaged data directory.
-    """
-    if path is None:
-        path = os.environ.get(ENV_CATALOG)
+    """Load a catalog from a file, a directory of *.cat files, or, with no
+    path, the packaged data directory."""
     entries: list[CatalogEntry] = []
     if path is None:
         root = default_catalog_dir()
@@ -272,7 +285,7 @@ def _check_decomposition(entry: CatalogEntry, order: int, bound: int) -> Row:
     if not outcome.ok:
         return Row(entry.key, entry.kind, "fail", outcome.detail)
     rec = derive_sums(d, entry.key)
-    transfer = transfer_universality(rec, (), bound)
+    transfer = transfer_universality(rec, bound)
     problems = []
     if entry.claims:
         mismatch = _match_claims(rec, entry.claims)
@@ -450,29 +463,12 @@ class Report:
         }
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(catalog, order, bound):
-    _WORKER_STATE["catalog"] = catalog
-    _WORKER_STATE["order"] = order
-    _WORKER_STATE["bound"] = bound
-
-
-def _worker_check(key: str) -> Row:
-    catalog = _WORKER_STATE["catalog"]
-    return check_entry(
-        catalog.by_key[key], _WORKER_STATE["order"], _WORKER_STATE["bound"], catalog
-    )
-
-
 def run_catalog(
     catalog: Catalog,
     order: int = 1000,
     bound: int = 50000,
     kinds: tuple[str, ...] | None = None,
     keys: list[str] | None = None,
-    workers: int = 1,
 ) -> Report:
     """Check every selected entry and return one row per entry, key-sorted."""
     selected = catalog.entries
@@ -482,15 +478,4 @@ def run_catalog(
         wanted = set(keys)
         selected = [e for e in selected if e.key in wanted]
     selected = sorted(selected, key=lambda e: e.key)
-    if workers > 1 and len(selected) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(catalog, order, bound),
-        ) as pool:
-            rows = list(pool.map(_worker_check, [e.key for e in selected], chunksize=8))
-    else:
-        rows = [check_entry(e, order, bound, catalog) for e in selected]
-    return Report(order, bound, rows)
+    return Report(order, bound, [check_entry(e, order, bound, catalog) for e in selected])

@@ -39,15 +39,7 @@ def _add_common(parser, order=False, bound=False, batch=False):
     )
     if batch:
         parser.add_argument(
-            "--workers",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="parallel workers for batch checks",
-        )
-        parser.add_argument(
-            "--catalog",
-            default=None,
-            help=f"catalog file or directory (default: ${cat.ENV_CATALOG} or packaged data)",
+            "--catalog", help="catalog file or directory (default: packaged data)"
         )
 
 
@@ -150,13 +142,7 @@ def cmd_verify(args) -> int:
             if unknown:
                 return _fail_usage(f"unknown catalog key(s): {', '.join(unknown)}")
             wanted = keys
-    report = cat.run_catalog(
-        catalog,
-        order=args.order,
-        bound=args.bound,
-        keys=wanted,
-        workers=args.workers,
-    )
+    report = cat.run_catalog(catalog, order=args.order, bound=args.bound, keys=wanted)
     return _emit_report(report, args.format)
 
 
@@ -231,13 +217,7 @@ def cmd_reproduce(args) -> int:
     if catalog is None:
         return EXIT_USAGE
     keys = _reproduce_keys(catalog, args.theorem)
-    report = cat.run_catalog(
-        catalog,
-        order=args.order,
-        bound=args.bound,
-        keys=keys,
-        workers=args.workers,
-    )
+    report = cat.run_catalog(catalog, order=args.order, bound=args.bound, keys=keys)
     return _emit_report(report, args.format)
 
 

@@ -17,7 +17,6 @@ from .polygonal import (
     QuadTerm,
     UniversalityVerdict,
     certify_universal,
-    sum_families,
 )
 from .series import Series
 from .theta import ProductTerm, ThetaAtom, product_series
@@ -170,22 +169,15 @@ def rhs_bound(lhs_bound: int, shift: int, modulus: int) -> int:
     return (lhs_bound - shift) // modulus
 
 
-def transfer_universality(
-    rec: TransferRecord,
-    base: frozenset | set | tuple = (),
-    bound: int = 50000,
-) -> TransferOutcome:
+def transfer_universality(rec: TransferRecord, bound: int = 50000) -> TransferOutcome:
     """Propagate a certified lhs to every rhs sum and cross-check.
 
-    base is a collection of sums already accepted as universal (matched by
-    normalized value-family keys); an lhs not in base is certified
-    directly.  Every rhs sum is then certified up to its derived bound.
+    The lhs is certified up to bound; every rhs sum is then certified up to
+    its derived bound.
     """
-    base_keys = {sum_families(s) for s in base}
     lhs_verdict = certify_universal(rec.lhs_sum, bound)
-    lhs_ok = lhs_verdict.universal or sum_families(rec.lhs_sum) in base_keys
     rhs_results = []
-    if not lhs_ok:
+    if not lhs_verdict.universal:
         return TransferOutcome("refused", lhs_verdict, ())
     all_ok = True
     for s, shift in zip(rec.rhs_sums, rec.shifts):

@@ -3,7 +3,6 @@ import pytest
 from thetasums.catalog import (
     Catalog,
     CatalogError,
-    load_catalog,
     parse_catalog_text,
     run_catalog,
 )
@@ -62,6 +61,43 @@ def test_malformed_entries_fail_at_load():
             "[x] kind: decomposition\nlhs: Y(q)*Y(q^2)*Y(q^4)^2\nmodulus: 2\n"
             "rhs: X(q^8)*Y(q^2)*Y(q^4)^2 + q^2*Y(q^2)*Y(q^4)^3"
         )
+
+
+Q1_TEXT = (
+    "[Q1] kind: decomposition\nlhs: Y(q)*Y(q^2)*Y(q^4)^2\nmodulus: 4\n"
+    "rhs: X(q^8)*X(q^16)*Y(q^4)^2 + q*X(q^16)*Y(q^4)^3"
+    " + q^2*X(q^8)*Y(q^4)^2*Y(q^8) + q^3*Y(q^4)^3*Y(q^8)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # 'claim' for 'claims': the claim check would never run.
+        Q1_TEXT + "claim: p3+p3+p3+p3 | 4*p5+p8+p8+p8 | 2*p5+p8+p8+2*p8 | p8+p8+p8+2*p8",
+        # 'certfy' for 'certify': the members would never be certified.
+        "[x] kind: equivalence\nchain: p3+p3 ~ p4+2*p3\ncertfy: members",
+        "[x] kind: equivalence\nchain: p3+p3 ~ p4+2*p3\ncertify: all",
+        "[x] kind: target-sum\nsum: p3+4*p3+p5+2*p5\nanchor: thm3.1",
+        # A field of another kind.
+        "[x] kind: base-fact\nsum: p3+p3+p3\nvia: Q1 r1",
+    ],
+    ids=["claim", "certfy", "certify-all", "anchor-key", "field-of-another-kind"],
+)
+def test_fields_the_kind_does_not_allow_fail_at_load(text):
+    with pytest.raises(CatalogError):
+        parse_catalog_text(text)
+
+
+@pytest.mark.parametrize(
+    "via", ["Q1 rx", "Q1 r", "Q1 r1 r2", "Q1 2", ""],
+    ids=["rx", "r", "two-terms", "no-r", "empty"],
+)
+def test_malformed_via_fails_at_load(via):
+    text = Q1_TEXT + "\n[t] kind: target-sum\nsum: 2*p5+4*p5+p8+p8\nvia: "
+    assert len(parse_catalog_text(text + "Q1 r1")) == 2
+    with pytest.raises(CatalogError):
+        parse_catalog_text(text + via)
 
 
 def test_every_claim_matches_derived_sums(catalog):
@@ -127,22 +163,14 @@ def test_section1_anchor_exception_is_explicit(catalog):
     assert [e.key for e in flagged] == ["sec1-13-03"]
 
 
-def test_env_var_catalog_path(tmp_path, monkeypatch):
-    target = tmp_path / "mini.cat"
-    target.write_text('[only] kind: base-fact ref: "x"\nsum: p3 + p3 + p3\n')
-    monkeypatch.setenv("THETASUMS_CATALOG", str(target))
-    catalog = load_catalog()
-    assert [e.key for e in catalog.entries] == ["only"]
-
-
-def test_parallel_run_checks_the_given_catalog():
+def test_run_checks_the_given_catalog():
     # The key eq-2.12 also names a true identity in the packaged catalog.
     text = (
         '[eq-2.12] kind: identity ref: "x"\nlhs: phi(q)\nrhs: psi(q)\n\n'
         '[only-here] kind: identity ref: "x"\nlhs: phi(q)\nrhs: phi(q)\n'
     )
     catalog = Catalog(parse_catalog_text(text))
-    report = run_catalog(catalog, order=50, bound=100, workers=2)
+    report = run_catalog(catalog, order=50, bound=100)
     assert [(r.key, r.status) for r in report.rows] == [
         ("eq-2.12", "fail"),
         ("only-here", "pass"),

@@ -54,8 +54,7 @@ def test_verify_unknown_key_exits_2(capsys):
 
 
 def test_verify_all_small_order(capsys):
-    code, out, _ = run(capsys, "verify", "all", "--order", "150", "--bound", "1500",
-                       "--workers", "1")
+    code, out, _ = run(capsys, "verify", "all", "--order", "150", "--bound", "1500")
     assert code == 0
     assert "0 failed" in out
 
@@ -141,14 +140,32 @@ def test_reproduce_report_format(capsys):
     data = json.loads(out)
     assert data["summary"] == {"pass": 16, "fail": 0}
     assert all(r["key"].startswith("thm3.3") for r in data["rows"])
+    keys = [r["key"] for r in data["rows"]]
+    assert keys == sorted(keys)
 
 
 def test_reproduce_parallel_workers(capsys):
+    # The worker pool is gone: --workers is a usage error and one process
+    # prints the rows in key order.
+    with pytest.raises(SystemExit) as info:
+        main(["reproduce", "thm3.2", "--workers", "2"])
+    assert info.value.code == 2
+    capsys.readouterr()
     code, out, _ = run(capsys, "reproduce", "thm3.2", "--order", "200",
-                       "--bound", "2000", "--workers", "2")
+                       "--bound", "2000")
     assert code == 0
     rows = [line for line in out.splitlines() if line.startswith("PASS")]
     assert rows == sorted(rows)
+
+
+def test_reproduce_catalog_option(tmp_path, capsys):
+    path = tmp_path / "mini.cat"
+    path.write_text('[only] kind: base-fact ref: "x"\nsum: p3 + p3 + p3\n')
+    code, out, _ = run(capsys, "reproduce", "all", "--catalog", str(path),
+                       "--bound", "2000")
+    assert code == 0
+    assert out.splitlines()[0].startswith("PASS  only")
+    assert "1 passed, 0 failed" in out
 
 
 def test_usage_error_exits_2(capsys):

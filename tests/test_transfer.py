@@ -117,9 +117,11 @@ def test_derive_sums_ignores_multipliers(catalog):
 
 
 def test_transfer_propagates_with_base(catalog):
+    # No base set is taken any more: the lhs is always certified directly.
     rec = derive_sums(get_decomposition(catalog, "Q1"), "Q1")
-    base = (parse_polygonal_sum("p8 + 2*p8 + 4*p8 + 4*p8"),)
-    outcome = transfer_universality(rec, base, bound=50000)
+    with pytest.raises(TypeError):
+        transfer_universality(rec, base=(rec.lhs_sum,), bound=50000)
+    outcome = transfer_universality(rec, bound=50000)
     assert outcome.status == "propagated"
     assert len(outcome.rhs_results) == 4
     for s, derived, verdict in outcome.rhs_results:
@@ -129,7 +131,7 @@ def test_transfer_propagates_with_base(catalog):
 
 def test_transfer_direct_certification_without_base(catalog):
     rec = derive_sums(get_decomposition(catalog, "Q1"), "Q1")
-    outcome = transfer_universality(rec, (), bound=20000)
+    outcome = transfer_universality(rec, bound=20000)
     assert outcome.status == "propagated"
 
 
@@ -142,7 +144,7 @@ def test_transfer_refuses_non_universal_lhs(catalog):
         modulus=rec.modulus,
         source="fake",
     )
-    outcome = transfer_universality(fake, (), bound=2000)
+    outcome = transfer_universality(fake, bound=2000)
     assert outcome.status == "refused"
     assert outcome.rhs_results == ()
 
@@ -156,7 +158,7 @@ def test_transfer_reports_inconsistency(catalog):
         modulus=rec.modulus,
         source="fake",
     )
-    outcome = transfer_universality(fake, (), bound=2000)
+    outcome = transfer_universality(fake, bound=2000)
     assert outcome.status == "inconsistent"
 
 
@@ -205,5 +207,5 @@ def test_three_atom_products_use_the_same_machinery():
         parse_polygonal_sum("p8 + p8 + p8")
     )
     # Three octagonal terms are not universal, so propagation refuses.
-    outcome = transfer_universality(rec, (), bound=500)
+    outcome = transfer_universality(rec, bound=500)
     assert outcome.status in ("refused", "inconsistent")
