@@ -226,7 +226,10 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
         return Catalog(entries)
     path = Path(path)
     if path.is_dir():
-        for file in sorted(path.glob("*.cat")):
+        files = sorted(path.glob("*.cat"))
+        if not files:
+            raise CatalogError(f"{path}: no *.cat files in this directory")
+        for file in files:
             entries.extend(parse_catalog_text(file.read_text(), file.name))
     else:
         entries.extend(parse_catalog_text(path.read_text(), path.name))

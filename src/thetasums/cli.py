@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalog as cat
@@ -55,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, order=True)
 
     p = sub.add_parser("verify", help="verify catalog identities/decompositions")
-    p.add_argument("keys", nargs="+", help="catalog keys, 'all', or a catalog file path")
+    p.add_argument("keys", nargs="+", help="catalog keys or 'all'")
     _add_common(p, order=True, bound=True, batch=True)
 
     p = sub.add_parser("universal", help="certify a polygonal sum up to a bound")
@@ -118,32 +117,27 @@ def _emit_report(report: cat.Report, fmt: str) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+def _run_selected(catalog: cat.Catalog, keys: list[str], args) -> int:
+    if not keys:
+        return _fail_usage("no catalog entries selected")
+    report = cat.run_catalog(catalog, order=args.order, bound=args.bound, keys=keys)
+    return _emit_report(report, args.format)
+
+
 def cmd_verify(args) -> int:
     if args.order < 2 or args.bound < 1:
         return _fail_usage("need order >= 2 and bound >= 1")
+    catalog = _load_catalog_arg(args.catalog)
+    if catalog is None:
+        return EXIT_USAGE
     keys = list(args.keys)
-    if len(keys) == 1 and os.path.isfile(keys[0]) and keys[0].endswith(".cat"):
-        catalog = _load_catalog_arg(keys[0])
-        if catalog is None:
-            return EXIT_USAGE
-        wanted = None
+    if keys == ["all"]:
+        keys = [e.key for e in catalog.entries if e.kind in ("identity", "decomposition")]
     else:
-        catalog = _load_catalog_arg(args.catalog)
-        if catalog is None:
-            return EXIT_USAGE
-        if keys == ["all"]:
-            wanted = [
-                e.key
-                for e in catalog.entries
-                if e.kind in ("identity", "decomposition")
-            ]
-        else:
-            unknown = [k for k in keys if k not in catalog.by_key]
-            if unknown:
-                return _fail_usage(f"unknown catalog key(s): {', '.join(unknown)}")
-            wanted = keys
-    report = cat.run_catalog(catalog, order=args.order, bound=args.bound, keys=wanted)
-    return _emit_report(report, args.format)
+        unknown = [k for k in keys if k not in catalog.by_key]
+        if unknown:
+            return _fail_usage(f"unknown catalog key(s): {', '.join(unknown)}")
+    return _run_selected(catalog, keys, args)
 
 
 def cmd_universal(args) -> int:
@@ -216,9 +210,7 @@ def cmd_reproduce(args) -> int:
     catalog = _load_catalog_arg(args.catalog)
     if catalog is None:
         return EXIT_USAGE
-    keys = _reproduce_keys(catalog, args.theorem)
-    report = cat.run_catalog(catalog, order=args.order, bound=args.bound, keys=keys)
-    return _emit_report(report, args.format)
+    return _run_selected(catalog, _reproduce_keys(catalog, args.theorem), args)
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,13 @@ bounded and sieve-based: value sets become bitmasks (Python ints) and the
 sumset of two masks is an OR of shifts, so only positivity is ever
 computed unless representation counts are asked for explicitly.
 
+One fold builds every mask: _prefix_mask(families, bound) shifts the last
+family's values onto the cached mask of the families before it, starting
+from {0}.  A sum is keyed by its sorted family keys (sum_families), so
+permuted and rescaled spellings share one mask and sums with a common
+sorted prefix share its folds.  Verdicts are not cached: certify_universal
+lists the gaps of the cached mask on every call.
+
 QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
 same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
 canonical atoms (i <= j) this inverts the map transfer.derive_sums applies,
@@ -125,31 +132,34 @@ def representation_series(s: PolygonalSum, bound: int) -> Series:
 
 
 @lru_cache(maxsize=4096)
-def _term_mask(term: QuadTerm, bound: int) -> int:
-    mask = 0
-    for v in term.values_upto(bound):
-        mask |= 1 << v
-    return mask
+def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
+    """Bitmask of the sumset of the given family keys within [0, bound].
+
+    The last family's values are folded onto the prefix mask by shifts.
+    Every family reaches 0, so a full prefix stays full: it is returned
+    as the same object, and sums sharing a universal prefix share one mask.
+    """
+    if not families:
+        return 1
+    acc = _prefix_mask(families[:-1], bound)
+    full = (1 << (bound + 1)) - 1
+    if acc == full:
+        return acc
+    a, bb, coeff = families[-1]
+    shifted = 0
+    for v in QuadTerm(coeff, a, -bb).values_upto(bound):
+        shifted |= acc << v
+    return shifted & full
 
 
 @lru_cache(maxsize=4096)
 def sum_value_mask(s: PolygonalSum, bound: int) -> int:
     """Bitmask of representable integers in [0, bound].
 
-    Sumsets are folded in by shifting the accumulated mask by each raw
-    value of the next term; once the mask is full it stays full because
-    every term reaches 0.
+    Spellings with the same family keys (permuted, rescaled, or p6 for p3)
+    share one mask, and sums sharing a sorted prefix share its folds.
     """
-    full = (1 << (bound + 1)) - 1
-    acc = _term_mask(s.terms[0], bound)
-    for t in s.terms[1:]:
-        if acc == full:
-            return full
-        shifted = 0
-        for v in t.values_upto(bound):
-            shifted |= acc << v
-        acc = shifted & full
-    return acc
+    return _prefix_mask(sum_families(s), bound)
 
 
 def _mask_bits(mask: int) -> list[int]:
@@ -161,7 +171,6 @@ def _mask_bits(mask: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=4096)
 def certify_universal(s: PolygonalSum, bound: int) -> UniversalityVerdict:
     """Sieve every integer in [0, bound]; missing is the sorted gap list."""
     if bound < 1:
@@ -236,28 +245,17 @@ def sum_families(s: PolygonalSum) -> tuple[tuple[int, int, int], ...]:
 
 def polygonal_order_of(term: QuadTerm) -> int | None:
     """m such that the reduced term is coeff' * p_m, if any."""
-    r = reduce_term(term)
-    a, bb = r.a, -r.b
-    if (a, bb) == (4, 2):
-        a, bb = 1, 1
+    a, bb, _ = family_key(term)
     m = a + 2
-    if bb == abs(m - 4):
-        return m
-    return None
+    return m if bb == abs(m - 4) else None
 
 
 def term_label(term: QuadTerm) -> str:
     """Human-readable label: 'c*pm' when the shape is m-gonal."""
-    r = reduce_term(term)
-    a, bb = r.a, -r.b
-    if (a, bb) == (4, 2):
-        r = QuadTerm(r.coeff, 1, -1)
-        a, bb = 1, 1
-    m = a + 2
-    if bb == abs(m - 4):
-        return f"p{m}" if r.coeff == 1 else f"{r.coeff}*p{m}"
-    body = f"x({a}x{'+' if r.b >= 0 else '-'}{abs(r.b)})/2"
-    return body if r.coeff == 1 else f"{r.coeff}*{body}"
+    a, bb, coeff = family_key(term)
+    m = polygonal_order_of(term)
+    body = f"p{m}" if m is not None else f"x({a}x-{bb})/2"
+    return body if coeff == 1 else f"{coeff}*{body}"
 
 
 def sum_label(s: PolygonalSum) -> str:

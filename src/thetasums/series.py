@@ -46,15 +46,6 @@ class Series:
         coeffs[0] = 1
         return cls._wrap(coeffs)
 
-    @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> Series:
-        coeffs = [0] * _checked_order(order)
-        if exponent < 0:
-            raise ValueError("negative exponents are not representable")
-        if exponent < order:
-            coeffs[exponent] = int(coeff)
-        return cls._wrap(coeffs)
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return tuple(self._coeffs)
@@ -69,18 +60,10 @@ class Series:
         """(exponent, coefficient) pairs for the nonzero coefficients."""
         return [(e, c) for e, c in enumerate(self._coeffs) if c]
 
-    def is_zero(self) -> bool:
-        return not any(self._coeffs)
-
     def add(self, other: Series) -> Series:
         order = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
         return Series._wrap([a[e] + b[e] for e in range(order)])
-
-    def sub(self, other: Series) -> Series:
-        order = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
-        return Series._wrap([a[e] - b[e] for e in range(order)])
 
     def scale(self, k: int) -> Series:
         k = int(k)
@@ -147,11 +130,6 @@ class Series:
     def __add__(self, other):
         if isinstance(other, Series):
             return self.add(other)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Series):
-            return self.sub(other)
         return NotImplemented
 
     def __mul__(self, other):

@@ -96,9 +96,6 @@ class ThetaExpression:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    def series(self, order: int) -> Series:
-        return expression_series(self, order)
-
 
 def canonicalize(term: ProductTerm) -> ProductTerm:
     """Rewrite every atom to canonical form 1 <= i <= j and sort the list.

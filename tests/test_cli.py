@@ -65,9 +65,14 @@ def test_verify_catalog_file_argument(tmp_path, capsys):
         '[local-check] kind: identity ref: "local"\n'
         "lhs: phi(q)\nrhs: phi(q^4) + 2*q*psi(q^8)\n"
     )
-    code, out, _ = run(capsys, "verify", str(path), "--order", "200")
+    code, out, _ = run(capsys, "verify", "all", "--catalog", str(path), "--order", "200")
     assert code == 0
     assert "local-check" in out
+
+    # A bare .cat path is not a catalog selector.
+    code, _, err = run(capsys, "verify", str(path), "--order", "200")
+    assert code == 2
+    assert "unknown catalog key" in err
 
 
 def test_verify_failure_exits_1(tmp_path, capsys):
@@ -76,7 +81,7 @@ def test_verify_failure_exits_1(tmp_path, capsys):
         '[broken] kind: identity ref: "local"\n'
         "lhs: phi(q)\nrhs: phi(q^4) + q*psi(q^8)\n"
     )
-    code, out, _ = run(capsys, "verify", str(path), "--order", "100")
+    code, out, _ = run(capsys, "verify", "all", "--catalog", str(path), "--order", "100")
     assert code == 1
     assert "first difference at q^1" in out
 
@@ -166,6 +171,25 @@ def test_reproduce_catalog_option(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0].startswith("PASS  only")
     assert "1 passed, 0 failed" in out
+
+
+@pytest.mark.parametrize(
+    "command, catalog, message",
+    [
+        (("reproduce", "all"), "empty", "no *.cat files"),
+        (("reproduce", "thm3.1"), "mini.cat", "error: no catalog entries selected"),
+        (("verify", "all"), "mini.cat", "error: no catalog entries selected"),
+    ],
+    ids=["reproduce-empty-dir", "reproduce-no-match", "verify-no-match"],
+)
+def test_runs_that_select_nothing_exit_2(tmp_path, capsys, command, catalog, message):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "mini.cat").write_text('[only] kind: base-fact ref: "x"\nsum: p3 + p3 + p3\n')
+    code, out, err = run(capsys, *command, "--catalog", str(tmp_path / catalog),
+                         "--bound", "2000")
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetasums.dsl import parse_polygonal_sum
 from thetasums.polygonal import (
     PolygonalSum,
     QuadTerm,
+    _prefix_mask,
     certify_universal,
     equivalent_upto,
     family_key,
@@ -216,3 +219,48 @@ def test_certify_and_equivalence_share_one_sieve_entry():
     misses = sum_value_mask.cache_info().misses
     equivalent_upto(s, t, bound)
     assert sum_value_mask.cache_info().misses == misses + 1
+
+
+# A term drawn as coeff * x(g*a*x + g*b)/2: g > 1 rescales the shape without
+# changing its values, and the hexagonal shape x(4x-2)/2 stands in for p3.
+SHAPES = [(1, -1), (2, 0), (3, -1), (4, -2), (5, -3), (6, -4), (5, -1), (7, -3)]
+drawn_terms = st.builds(
+    lambda coeff, shape, g: QuadTerm(coeff, g * shape[0], g * shape[1]),
+    st.integers(1, 4),
+    st.sampled_from(SHAPES),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.lists(drawn_terms, min_size=1, max_size=4).flatmap(
+        lambda ts: st.tuples(st.just(ts), st.permutations(ts))
+    ),
+    st.integers(1, 600),
+)
+def test_prefix_fold_matches_brute_force(spellings, bound):
+    # Every example runs in this process, so prefix masks cached by earlier
+    # sums and bounds are warm when a later sum reuses them.
+    drawn, permuted = spellings
+    s, t = PolygonalSum(tuple(drawn)), PolygonalSum(tuple(permuted))
+    expected = tuple(brute_missing(s, bound))
+    assert certify_universal(s, bound).missing == expected
+    assert certify_universal(t, bound).missing == expected
+
+
+def test_sums_sharing_a_sorted_prefix_share_its_folds():
+    bound = 3217
+    sum_value_mask(parse_polygonal_sum("p3 + p4 + p5 + p8"), bound)
+    misses = _prefix_mask.cache_info().misses
+    sum_value_mask(parse_polygonal_sum("p3 + p4 + p5 + 2*p8"), bound)
+    assert _prefix_mask.cache_info().misses == misses + 1
+    sum_value_mask(parse_polygonal_sum("p8 + p5 + x(4x-2)/2 + p4"), bound)
+    assert _prefix_mask.cache_info().misses == misses + 1
+
+
+def test_universal_prefix_is_shared_by_object():
+    bound = 1009
+    gauss = sum_value_mask(parse_polygonal_sum("p3 + p3 + p3"), bound)
+    assert gauss == (1 << (bound + 1)) - 1
+    assert sum_value_mask(parse_polygonal_sum("p3 + p3 + p3 + p4"), bound) is gauss
