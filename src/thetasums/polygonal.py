@@ -10,8 +10,9 @@ One fold builds every mask: _prefix_mask(families, bound) shifts the last
 family's values onto the cached mask of the families before it, starting
 from {0}.  A sum is keyed by its sorted family keys (sum_families), so
 permuted and rescaled spellings share one mask and sums with a common
-sorted prefix share its folds.  Verdicts are not cached: certify_universal
-lists the gaps of the cached mask on every call.
+sorted prefix share its folds.  Each distinct value of a family is folded
+once.  Verdicts are not cached: certify_universal lists the gaps of the
+cached mask on every call, in one linear scan of its binary digits.
 
 QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
 same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 
 from .series import Series
@@ -57,7 +59,7 @@ class QuadTerm:
         return self.coeff * (x * (self.a * x + self.b)) // 2
 
     def values_upto(self, bound: int) -> list[int]:
-        """All family values <= bound, in evaluation order (may repeat)."""
+        """All family values <= bound, each once, in increasing order."""
         out = []
         x = 0
         while True:
@@ -73,7 +75,7 @@ class QuadTerm:
                 break
             out.append(v)
             x -= 1
-        return out
+        return sorted(set(out))
 
 
 @dataclass(frozen=True)
@@ -162,13 +164,13 @@ def sum_value_mask(s: PolygonalSum, bound: int) -> int:
     return _prefix_mask(sum_families(s), bound)
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """Positions of the set bits of a nonnegative mask, increasing."""
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    return list(compress(range(len(flags)), flags))
 
 
 def certify_universal(s: PolygonalSum, bound: int) -> UniversalityVerdict:

@@ -111,6 +111,17 @@ def test_universal_report_format(capsys):
     assert data["config"]["bound"] == 100
 
 
+def test_universal_report_at_a_large_bound(capsys):
+    code, out, _ = run(
+        capsys, "universal", "2*p4+2*p4+2*p4+2*p4", "--bound", "200000",
+        "--format", "report",
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["missing_count"] == 100000
+    assert data["missing_head"] == list(range(1, 40, 2))
+
+
 def test_equiv_examples(capsys):
     code, out, _ = run(capsys, "equiv", "p3+p3", "p4+2*p3", "--bound", "20000")
     assert code == 0

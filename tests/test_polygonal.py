@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetasums.dsl import parse_polygonal_sum
 from thetasums.polygonal import (
     PolygonalSum,
     QuadTerm,
+    _mask_bits,
     _prefix_mask,
     certify_universal,
     equivalent_upto,
@@ -43,6 +44,28 @@ def test_term_from_polygonal_value_sets():
     assert sorted(set(pent2.values_upto(24))) == [0, 2, 4, 10, 14, 24]
     with pytest.raises(ValueError):
         term_from_polygonal(1, 2)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        QuadTerm(1, 1, -1),
+        QuadTerm(1, 2, 0),
+        QuadTerm(1, 3, -1),
+        QuadTerm(1, 4, -2),
+        QuadTerm(1, 5, -3),
+        QuadTerm(1, 6, -2),
+        QuadTerm(3, 10, -6),  # 6*p5 spelled with the shape doubled
+    ],
+)
+def test_values_upto_lists_each_value_once_in_order(term):
+    bound = 2000
+    values = term.values_upto(bound)
+    # Strictly increasing, so no repeats: for the square (2, 0) and the
+    # triangular (1, -1) shapes, x and -x or x and 1-x share a value.
+    assert all(u < v for u, v in zip(values, values[1:]))
+    brute = {term.value(x) for x in range(-bound, bound + 1)}
+    assert values == sorted(v for v in brute if v <= bound)
 
 
 def test_quad_term_validation():
@@ -264,3 +287,25 @@ def test_universal_prefix_is_shared_by_object():
     gauss = sum_value_mask(parse_polygonal_sum("p3 + p3 + p3"), bound)
     assert gauss == (1 << (bound + 1)) - 1
     assert sum_value_mask(parse_polygonal_sum("p3 + p3 + p3 + p4"), bound) is gauss
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.integers(0, 2**5000),
+        st.integers(0, 4095).map(lambda k: 1 << k),
+        st.sets(st.integers(0, 5000)).map(lambda bits: sum(1 << i for i in bits)),
+    )
+)
+@example(0)
+@example(1)
+@example(1 << 4095)
+@example((1 << 5000) - 1)
+def test_mask_bits_matches_naive_scan(m):
+    assert _mask_bits(m) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def test_certify_gap_list_at_a_large_bound():
+    # Half of [0, 200000] is missing: the gap list is as long as the mask.
+    even = parse_polygonal_sum("2*p4 + 2*p4 + 2*p4 + 2*p4")
+    assert certify_universal(even, 200000).missing == tuple(range(1, 200001, 2))
