@@ -20,6 +20,14 @@ these fields:
 
 Entries parse at load time; malformed data, including a field the kind does
 not allow, is a startup failure.
+
+A decomposition is proved from the catalog it is checked in: its lhs is
+rewritten with the identity entries whose lhs is one product and whose own
+series check passes at the same order (transfer.derive_decomposition).
+Only when no derivation exists does the row multiply out the series
+(transfer.verify_decomposition), which also supplies the failure witness;
+either way a passing row reads 'verified to order N'.  Nothing is checked
+at load time.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ from .theta import ThetaExpression, expression_series
 from .transfer import (
     Decomposition,
     TransferRecord,
+    VerifyOutcome,
+    derive_decomposition,
     derive_sums,
     transfer_universality,
     verify_decomposition,
@@ -251,18 +261,36 @@ class Row:
         return self.status == "pass"
 
 
-def _check_identity(entry: CatalogEntry, order: int) -> Row:
-    shifts = [t.shift for t in entry.lhs.terms + entry.rhs.terms]
+@lru_cache(maxsize=256)
+def _identity_outcome(
+    lhs: ThetaExpression, rhs: ThetaExpression, order: int
+) -> VerifyOutcome:
+    """The series check of an identity, shared by its row and its use as a lemma."""
+    shifts = [t.shift for t in lhs.terms + rhs.terms]
     worst = max(shifts) if shifts else 0
     if worst >= order:
-        return Row(entry.key, entry.kind, "fail", f"insufficient order {order} for shift {worst}")
-    left = expression_series(entry.lhs, order)
-    right = expression_series(entry.rhs, order)
+        return VerifyOutcome(False, None, f"insufficient order {order} for shift {worst}")
+    left = expression_series(lhs, order)
+    right = expression_series(rhs, order)
     ok, diff = left.equal_upto(right, order)
     if ok:
-        return Row(entry.key, entry.kind, "pass", f"series equal to order {order}")
+        return VerifyOutcome(True, None, f"series equal to order {order}")
     e, a, b = diff
-    return Row(entry.key, entry.kind, "fail", f"first difference at q^{e}: {a} vs {b}")
+    return VerifyOutcome(False, e, f"first difference at q^{e}: {a} vs {b}")
+
+
+def _check_identity(entry: CatalogEntry, order: int) -> Row:
+    outcome = _identity_outcome(entry.lhs, entry.rhs, order)
+    return Row(entry.key, entry.kind, "pass" if outcome.ok else "fail", outcome.detail)
+
+
+def _lemmas(catalog: Catalog, order: int) -> tuple:
+    """(key, lhs, rhs) of the single-product identities that hold to order."""
+    return tuple(
+        (e.key, e.lhs.terms[0], e.rhs)
+        for e in catalog.of_kind("identity")
+        if len(e.lhs.terms) == 1 and _identity_outcome(e.lhs, e.rhs, order).ok
+    )
 
 
 def _match_claims(rec: TransferRecord, claims: tuple[PolygonalSum, ...]) -> str | None:
@@ -278,13 +306,18 @@ def _match_claims(rec: TransferRecord, claims: tuple[PolygonalSum, ...]) -> str 
 
 
 @lru_cache(maxsize=256)
-def _verified_decomposition(d: Decomposition, order: int):
+def _verified_decomposition(d: Decomposition, order: int, lemmas: tuple) -> VerifyOutcome:
+    """A derivation from the lemmas, else the series check and its witness."""
+    if max(t.shift for t in d.rhs) < order and derive_decomposition(d, lemmas) is not None:
+        return VerifyOutcome(True, None, f"verified to order {order} (k={d.modulus})")
     return verify_decomposition(d, order)
 
 
-def _check_decomposition(entry: CatalogEntry, order: int, bound: int) -> Row:
+def _check_decomposition(
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
+) -> Row:
     d = entry.decomposition
-    outcome = _verified_decomposition(d, order)
+    outcome = _verified_decomposition(d, order, _lemmas(catalog, order))
     if not outcome.ok:
         return Row(entry.key, entry.kind, "fail", outcome.detail)
     rec = derive_sums(d, entry.key)
@@ -297,7 +330,7 @@ def _check_decomposition(entry: CatalogEntry, order: int, bound: int) -> Row:
     lhs_verdict = transfer.lhs_verdict
     if not lhs_verdict.universal:
         problems.append(
-            f"lhs sum {sum_label(rec.lhs_sum)} missing {lhs_verdict.missing[:3]}"
+            f"lhs sum {sum_label(rec.lhs_sum)} missing {lhs_verdict.head(3)}"
         )
     if entry.base is not None:
         base_verdict = certify_universal(entry.base, bound)
@@ -309,7 +342,7 @@ def _check_decomposition(entry: CatalogEntry, order: int, bound: int) -> Row:
     for s, derived, verdict in transfer.rhs_results:
         if not verdict.universal:
             problems.append(
-                f"rhs {sum_label(s)} missing {verdict.missing[:3]} up to {derived}"
+                f"rhs {sum_label(s)} missing {verdict.head(3)} up to {derived}"
             )
     if problems:
         return Row(entry.key, entry.kind, "fail", "; ".join(problems))
@@ -340,7 +373,7 @@ def _check_equivalence(entry: CatalogEntry, bound: int) -> Row:
                     entry.key,
                     entry.kind,
                     "fail",
-                    f"member {sum_label(s)} missing {verdict.missing[:3]}",
+                    f"member {sum_label(s)} missing {verdict.head(3)}",
                 )
         notes.append(f"all {len(entry.chain)} members certified universal")
     return Row(entry.key, entry.kind, "pass", "; ".join(notes))
@@ -351,7 +384,7 @@ def _check_base_fact(entry: CatalogEntry, bound: int) -> Row:
     if verdict.universal:
         return Row(entry.key, entry.kind, "pass", f"certified universal up to {bound}")
     return Row(
-        entry.key, entry.kind, "fail", f"missing {verdict.missing[:5]} up to {bound}"
+        entry.key, entry.kind, "fail", f"missing {verdict.head(5)} up to {bound}"
     )
 
 
@@ -364,7 +397,7 @@ def _check_target(
             entry.key,
             entry.kind,
             "fail",
-            f"missing {verdict.missing[:5]} up to {bound}",
+            f"missing {verdict.head(5)} up to {bound}",
         )
     notes = [f"certified universal up to {bound}"]
     if entry.via:
@@ -401,7 +434,9 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
         if len(parts) != 2 or not parts[1].startswith("r"):
             return f"via {entry.via!r} needs a residue term like 'r2'"
         idx = int(parts[1][1:]) - 1
-        outcome = _verified_decomposition(source.decomposition, order)
+        outcome = _verified_decomposition(
+            source.decomposition, order, _lemmas(catalog, order)
+        )
         if not outcome.ok:
             return f"deriving identity {parts[0]} failed: {outcome.detail}"
         rec = derive_sums(source.decomposition, source.key)
@@ -426,7 +461,7 @@ def check_entry(entry: CatalogEntry, order: int, bound: int, catalog: Catalog) -
     if entry.kind == "identity":
         return _check_identity(entry, order)
     if entry.kind == "decomposition":
-        return _check_decomposition(entry, order, bound)
+        return _check_decomposition(entry, order, bound, catalog)
     if entry.kind == "equivalence":
         return _check_equivalence(entry, bound)
     if entry.kind == "base-fact":

@@ -154,17 +154,17 @@ def cmd_universal(args) -> int:
             "config": {"bound": args.bound},
             "sum": dsl.serialize(s),
             "universal_up_to_bound": verdict.universal,
-            "missing_head": list(verdict.missing[:20]),
-            "missing_count": len(verdict.missing),
+            "missing_head": list(verdict.head(20)),
+            "missing_count": verdict.missing_count,
         }))
     elif verdict.universal:
         print(f"{dsl.serialize(s)}: universal up to {args.bound}")
     else:
-        head = ", ".join(str(n) for n in verdict.missing[:10])
+        head = ", ".join(str(n) for n in verdict.head(10))
         print(
             f"{dsl.serialize(s)}: NOT universal up to {args.bound}; "
             f"missing {head}"
-            + (" ..." if len(verdict.missing) > 10 else "")
+            + (" ..." if verdict.missing_count > 10 else "")
         )
     return EXIT_OK if verdict.universal else EXIT_FAIL
 

@@ -11,8 +11,9 @@ family's values onto the cached mask of the families before it, starting
 from {0}.  A sum is keyed by its sorted family keys (sum_families), so
 permuted and rescaled spellings share one mask and sums with a common
 sorted prefix share its folds.  Each distinct value of a family is folded
-once.  Verdicts are not cached: certify_universal lists the gaps of the
-cached mask on every call, in one linear scan of its binary digits.
+once.  Verdicts are not cached: certify_universal keeps the gaps of the
+cached mask as a mask, counted by bit_count, and lists them in one linear
+scan of its binary digits only when the full list is read.
 
 QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
 same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
@@ -23,7 +24,7 @@ and it is how representation counts come from theta.product_series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd
 
@@ -95,14 +96,37 @@ class PolygonalSum:
 
 @dataclass(frozen=True)
 class UniversalityVerdict:
-    """Bounded certification result; missing lists every gap <= bound."""
+    """Bounded certification result; bit n of gaps is set for each gap n <= bound.
+
+    The verdict, the gap count and a short head come from the mask; the full
+    gap list is built only when missing is first read.
+    """
 
     bound: int
-    missing: tuple[int, ...] = field(default=())
+    gaps: int = field(default=0, repr=False)
 
     @property
     def universal(self) -> bool:
-        return not self.missing
+        return self.gaps == 0
+
+    @property
+    def missing_count(self) -> int:
+        return self.gaps.bit_count()
+
+    def head(self, n: int) -> tuple[int, ...]:
+        """The n smallest gaps, read off the lowest set bits."""
+        out = []
+        g = self.gaps
+        while g and len(out) < n:
+            low = g & -g
+            out.append(low.bit_length() - 1)
+            g ^= low
+        return tuple(out)
+
+    @cached_property
+    def missing(self) -> tuple[int, ...]:
+        """Every gap <= bound, increasing."""
+        return tuple(_mask_bits(self.gaps))
 
 
 def polygonal_value(m: int, x: int) -> int:
@@ -174,12 +198,11 @@ def _mask_bits(mask: int) -> list[int]:
 
 
 def certify_universal(s: PolygonalSum, bound: int) -> UniversalityVerdict:
-    """Sieve every integer in [0, bound]; missing is the sorted gap list."""
+    """Sieve every integer in [0, bound]; the verdict keeps the gap mask."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     full = (1 << (bound + 1)) - 1
-    gaps = full & ~sum_value_mask(s, bound)
-    return UniversalityVerdict(bound, tuple(_mask_bits(gaps)))
+    return UniversalityVerdict(bound, full & ~sum_value_mask(s, bound))
 
 
 def equivalent_upto(

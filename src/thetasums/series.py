@@ -100,19 +100,6 @@ class Series:
             return Series.zero(self.order)
         return Series._wrap([0] * e + self._coeffs[: self.order - e])
 
-    def substitute(self, k: int) -> Series:
-        """Replace q by q^k; the result keeps the input order."""
-        if k < 1:
-            raise ValueError("substitution power must be >= 1")
-        if k == 1:
-            return self
-        out = [0] * self.order
-        for e, c in enumerate(self._coeffs):
-            if e * k >= self.order:
-                break
-            out[e * k] = c
-        return Series._wrap(out)
-
     def equal_upto(self, other: Series, n: int) -> tuple[bool, tuple[int, int, int] | None]:
         """Compare coefficients for all exponents < n.
 

@@ -6,10 +6,20 @@ are all multiples of the modulus k.  Once the series identity is checked,
 each side maps mechanically to a polygonal sum (atom (i, j) becomes the
 family x((i+j)x + i-j)/2, with the factor k divided out on the right), and
 universality propagates both ways along the exponent map e = k*m + (r-1).
+
+A decomposition is checked the way the paper proves it: derive_decomposition
+rewrites the lhs with identity lemmas applied under q -> q^n until it equals
+the rhs term for term.  A lemma that holds to order N still does after
+q -> q^n, after multiplying by any atoms and after shifting, and
+canonicalize is exact, so a derivation from lemmas checked to order N proves
+the decomposition to order N.  verify_decomposition, the coefficient-by-
+coefficient series product, is the fallback when no derivation is found and
+the reference the derivation is tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .polygonal import (
@@ -19,7 +29,11 @@ from .polygonal import (
     certify_universal,
 )
 from .series import Series
-from .theta import ProductTerm, ThetaAtom, product_series
+from .theta import ProductTerm, ThetaAtom, canonicalize, product_series
+
+# Longest derivation derive_decomposition searches for; every packaged
+# decomposition needs at most three lemma applications.
+MAX_PROOF_STEPS = 3
 
 
 class DecompositionError(ValueError):
@@ -124,6 +138,93 @@ def verify_decomposition(d: Decomposition, order: int) -> VerifyOutcome:
         e, a, b = diff
         return VerifyOutcome(False, e, f"residue {e % k}: coefficient {a} vs {b} at q^{e}")
     return VerifyOutcome(True, None, f"verified to order {order} (k={k})")
+
+
+def _scaled(atoms: tuple[ThetaAtom, ...], n: int) -> tuple[ThetaAtom, ...]:
+    return tuple(ThetaAtom(n * a.i, n * a.j) for a in atoms)
+
+
+def _merge(terms) -> dict[tuple[int, tuple[ThetaAtom, ...]], int]:
+    """Canonical (shift, atoms) -> multiplier, like terms added."""
+    state: dict[tuple[int, tuple[ThetaAtom, ...]], int] = {}
+    for t in terms:
+        c = canonicalize(t)
+        key = (c.shift, c.atoms)
+        state[key] = state.get(key, 0) + c.multiplier
+    return state
+
+
+def _is_open(atoms: tuple[ThetaAtom, ...], k: int) -> bool:
+    return any(a.i % k or a.j % k for a in atoms)
+
+
+def _rewrite(state, lhs_atoms, rhs_terms, n: int, k: int):
+    """Apply lhs -> rhs under q -> q^n to every open term containing the lhs."""
+    pattern = Counter(_scaled(lhs_atoms, n))
+    out = []
+    for (shift, atoms), mult in state.items():
+        have = Counter(atoms)
+        if not _is_open(atoms, k) or pattern - have:
+            out.append(ProductTerm(mult, shift, atoms))
+            continue
+        rest = tuple((have - pattern).elements())
+        for t in rhs_terms:
+            out.append(
+                ProductTerm(
+                    mult * t.multiplier, shift + n * t.shift, rest + _scaled(t.atoms, n)
+                )
+            )
+    return _merge(out)
+
+
+def derive_decomposition(
+    d: Decomposition, lemmas
+) -> tuple[tuple[str, int], ...] | None:
+    """Shortest derivation of d from the lemmas, or None within MAX_PROOF_STEPS.
+
+    lemmas holds (name, lhs, rhs) triples, each lhs a ProductTerm and each
+    rhs a ThetaExpression; only those whose lhs is a bare product after
+    canonicalize take part.  One step (name, n) rewrites every term that
+    still has an atom not divisible by the modulus and contains the lemma
+    lhs under q -> q^n.  The search is breadth-first over the canonical sum
+    of terms and succeeds when it equals the canonical rhs exactly.  The
+    caller vouches that every lemma holds to the order it claims for d.
+    """
+    k = d.modulus
+    rules = []
+    for name, lhs, rhs in lemmas:
+        c = canonicalize(lhs)
+        if c.multiplier == 1 and c.shift == 0:
+            rules.append((name, c.atoms, rhs.terms))
+    target = _merge(d.rhs)
+    start = _merge([d.lhs])
+    if start == target:
+        return ()
+    frontier = [((), start)]
+    seen = {frozenset(start.items())}
+    for _ in range(MAX_PROOF_STEPS):
+        next_frontier = []
+        for steps, state in frontier:
+            candidates = {}
+            for _shift, atoms in state:
+                if not _is_open(atoms, k):
+                    continue
+                for name, lhs_atoms, rhs_terms in rules:
+                    head = lhs_atoms[0]
+                    for a in set(atoms):
+                        n, r = divmod(a.i, head.i)
+                        if not r and a.j == n * head.j:
+                            candidates[(name, n)] = (lhs_atoms, rhs_terms)
+            for step, (lhs_atoms, rhs_terms) in candidates.items():
+                new = _rewrite(state, lhs_atoms, rhs_terms, step[1], k)
+                if new == target:
+                    return steps + (step,)
+                key = frozenset(new.items())
+                if key not in seen:
+                    seen.add(key)
+                    next_frontier.append((steps + (step,), new))
+        frontier = next_frontier
+    return None
 
 
 def derive_sums(d: Decomposition, source: str = "") -> TransferRecord:

@@ -1,13 +1,15 @@
 import pytest
 
+from thetasums import catalog as catalog_module
 from thetasums.catalog import (
     Catalog,
     CatalogError,
+    default_catalog_dir,
     parse_catalog_text,
     run_catalog,
 )
 from thetasums.polygonal import sum_families
-from thetasums.transfer import derive_sums
+from thetasums.transfer import derive_decomposition, derive_sums, verify_decomposition
 
 
 def test_load_counts(catalog):
@@ -175,3 +177,89 @@ def test_run_checks_the_given_catalog():
         ("eq-2.12", "fail"),
         ("only-here", "pass"),
     ]
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Decompositions that reach the series check, in call order."""
+    calls = []
+
+    def spy(d, order):
+        calls.append(d)
+        return verify_decomposition(d, order)
+
+    catalog_module._verified_decomposition.cache_clear()
+    monkeypatch.setattr(catalog_module, "verify_decomposition", spy)
+    return calls
+
+
+def test_packaged_decompositions_pass_without_the_series_check(catalog, verify_calls):
+    report = run_catalog(catalog, order=300, bound=600, kinds=("decomposition",))
+    assert report.ok and len(report.rows) == 42
+    assert verify_calls == []
+    assert all(r.detail.startswith("verified to order 300;") for r in report.rows)
+
+
+def _with_identities(text):
+    identities = (default_catalog_dir() / "identities.cat").read_text()
+    return Catalog(parse_catalog_text(identities + "\n" + text))
+
+
+BROKEN_Q1_TEXT = {
+    "atom": Q1_TEXT.replace("+ q*X(q^16)", "+ q*X(q^12)"),
+    "multiplier": Q1_TEXT.replace("+ q*X(q^16)", "+ 2*q*X(q^16)"),
+    # The shifts of two residue terms swapped.
+    "shift": Q1_TEXT.replace("+ q^2*X(q^8)", "+ q*X(q^8)").replace(
+        "+ q*X(q^16)", "+ q^2*X(q^16)"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BROKEN_Q1_TEXT))
+def test_a_wrong_rhs_has_no_derivation_and_fails_with_the_series_witness(
+    fault, verify_calls
+):
+    assert BROKEN_Q1_TEXT[fault] != Q1_TEXT
+    catalog = _with_identities(BROKEN_Q1_TEXT[fault])
+    d = catalog.by_key["Q1"].decomposition
+    assert derive_decomposition(d, catalog_module._lemmas(catalog, 200)) is None
+    row = run_catalog(catalog, order=200, bound=500, keys=["Q1"]).rows[0]
+    assert row.status == "fail"
+    assert row.detail == verify_decomposition(d, 200).detail
+    assert row.detail.startswith("residue ")
+    assert verify_calls == [d]
+
+
+FALSE_EQ_2_16 = (
+    '[eq-2.16] kind: identity ref: "(2.16)"\nlhs: Y(q)\nrhs: X(q^8) + 2*q*Y(q^4)\n\n'
+)
+ONLY_BY_FALSE_LEMMA = (
+    "[D] kind: decomposition\nlhs: Y(q)*Y(q^4)^3\nmodulus: 4\n"
+    "rhs: X(q^8)*Y(q^4)^3 + 2*q*Y(q^4)^4\n"
+)
+
+
+def test_a_failing_identity_is_not_used_as_a_lemma(verify_calls):
+    catalog = Catalog(parse_catalog_text(FALSE_EQ_2_16 + ONLY_BY_FALSE_LEMMA))
+    false = catalog.by_key["eq-2.16"]
+    d = catalog.by_key["D"].decomposition
+    # D does follow from the false lemma, so only the lemma's check stops it.
+    assert derive_decomposition(d, [("eq-2.16", false.lhs.terms[0], false.rhs)])
+    rows = run_catalog(catalog, order=200, bound=500).rows
+    assert [(r.key, r.status) for r in rows] == [("D", "fail"), ("eq-2.16", "fail")]
+    assert rows[0].detail == verify_decomposition(d, 200).detail
+    assert verify_calls == [d]
+    # With the true (2.16) the same lhs derives the true rhs, with no
+    # series check.
+    true_d = ONLY_BY_FALSE_LEMMA.replace("2*q*", "q*")
+    rows = run_catalog(_with_identities(true_d), order=200, bound=500, keys=["D"]).rows
+    assert not rows[0].detail.startswith("residue ")
+    assert verify_calls == [d]
+
+
+def test_q1_alone_passes_through_the_series_check(verify_calls):
+    catalog = Catalog(parse_catalog_text(Q1_TEXT))
+    row = run_catalog(catalog, order=160, bound=800).rows[0]
+    assert (row.key, row.status) == ("Q1", "pass")
+    assert row.detail == "verified to order 160; transfer certified to bound 800 (k=4)"
+    assert verify_calls == [catalog.by_key["Q1"].decomposition]

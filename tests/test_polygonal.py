@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thetasums import polygonal
+from thetasums.cli import main as cli_main
 from thetasums.dsl import parse_polygonal_sum
 from thetasums.polygonal import (
     PolygonalSum,
@@ -309,3 +311,46 @@ def test_certify_gap_list_at_a_large_bound():
     # Half of [0, 200000] is missing: the gap list is as long as the mask.
     even = parse_polygonal_sum("2*p4 + 2*p4 + 2*p4 + 2*p4")
     assert certify_universal(even, 200000).missing == tuple(range(1, 200001, 2))
+
+
+def test_verdict_flag_count_and_head_come_from_the_mask(monkeypatch, capsys):
+    def no_listing(mask):
+        raise AssertionError("the full gap list was built")
+
+    monkeypatch.setattr(polygonal, "_mask_bits", no_listing)
+    even = parse_polygonal_sum("2*p4 + 2*p4 + 2*p4 + 2*p4")
+    verdict = certify_universal(even, 10000)
+    assert not verdict.universal
+    assert verdict.missing_count == 5000
+    assert verdict.head(3) == (1, 3, 5)
+    gauss = certify_universal(parse_polygonal_sum("p3 + p3 + p3"), 10000)
+    assert gauss.universal and gauss.missing_count == 0 and gauss.head(5) == ()
+    code = cli_main(["universal", "2*p4+2*p4+2*p4+2*p4", "--bound", "10000",
+                     "--format", "report"])
+    assert code == 1 and '"missing_count": 5000' in capsys.readouterr().out
+
+
+def test_verdict_lists_the_gaps_once(monkeypatch):
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return _mask_bits(mask)
+
+    monkeypatch.setattr(polygonal, "_mask_bits", counted)
+    verdict = certify_universal(parse_polygonal_sum("p4 + p4 + p4"), 3000)
+    assert calls == []
+    expected = tuple(brute_missing(parse_polygonal_sum("p4 + p4 + p4"), 3000))
+    assert verdict.missing == expected
+    assert verdict.missing[:7] == expected[:7] and len(verdict.missing) == len(expected)
+    assert len(calls) == 1
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(drawn_terms, min_size=1, max_size=4), st.integers(1, 600), st.integers(0, 30))
+def test_verdict_head_and_count_match_brute_force(terms, bound, n):
+    expected = brute_missing(PolygonalSum(tuple(terms)), bound)
+    verdict = certify_universal(PolygonalSum(tuple(terms)), bound)
+    assert verdict.head(n) == tuple(expected[:n])
+    assert verdict.missing_count == len(expected)
+    assert verdict.universal == (not expected)

@@ -85,28 +85,6 @@ def test_shift():
         s.shift(-1)
 
 
-def test_substitute():
-    s = Series([1, 1], 8)
-    assert s.substitute(1) is s
-    assert s.substitute(4).coeffs == (1, 0, 0, 0, 1, 0, 0, 0)
-    phi = atom_series(ThetaAtom.phi(), 10)
-    assert phi.substitute(2).coeffs == (1, 0, 2, 0, 0, 0, 0, 0, 2, 0)
-    with pytest.raises(ValueError):
-        s.substitute(0)
-
-
-def test_substitute_is_multiplicative():
-    rng = random.Random(1331)
-    for _ in range(10):
-        order = rng.randint(2, 256)
-        k = rng.randint(1, 5)
-        a = random_sparse(rng, order)
-        b = random_sparse(rng, order)
-        left = (a * b).substitute(k)
-        right = a.substitute(k) * b.substitute(k)
-        assert left.coeffs == right.coeffs
-
-
 def test_equal_upto():
     s = Series([1, 1], 10)
     ok, diff = s.equal_upto(s, 10)

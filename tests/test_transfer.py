@@ -1,11 +1,14 @@
 import pytest
 
+from thetasums.catalog import _lemmas
 from thetasums.dsl import parse_polygonal_sum, parse_theta_expression
 from thetasums.polygonal import certify_universal, sum_families, sum_label
 from thetasums.theta import ProductTerm, ThetaAtom
 from thetasums.transfer import (
+    MAX_PROOF_STEPS,
     Decomposition,
     DecompositionError,
+    derive_decomposition,
     derive_sums,
     rhs_bound,
     transfer_universality,
@@ -209,3 +212,45 @@ def test_three_atom_products_use_the_same_machinery():
     # Three octagonal terms are not universal, so propagation refuses.
     outcome = transfer_universality(rec, bound=500)
     assert outcome.status in ("refused", "inconsistent")
+
+
+def test_every_packaged_decomposition_is_derived_from_the_lemmas(catalog):
+    # The series product stays the reference: each derived decomposition
+    # must also pass it.
+    lemmas = _lemmas(catalog, 512)
+    assert len(lemmas) == len(catalog.of_kind("identity"))
+    for entry in catalog.of_kind("decomposition"):
+        steps = derive_decomposition(entry.decomposition, lemmas)
+        assert steps is not None, entry.key
+        assert 1 <= len(steps) <= MAX_PROOF_STEPS, entry.key
+        out = verify_decomposition(entry.decomposition, 512)
+        assert out.ok, (entry.key, out.detail)
+
+
+def test_q1_applies_eq_2_16_at_q_and_q2(catalog):
+    steps = derive_decomposition(get_decomposition(catalog, "Q1"), _lemmas(catalog, 64))
+    assert sorted(steps) == [("eq-2.16", 1), ("eq-2.16", 2)]
+
+
+def test_a_product_of_divisible_atoms_needs_no_step():
+    lhs = parse_theta_expression("X(q^2)^4").terms[0]
+    d = Decomposition(lhs, 2, parse_theta_expression("X(q^2)^4").terms)
+    assert derive_decomposition(d, ()) == ()
+    d = Decomposition(lhs, 2, parse_theta_expression("2*X(q^2)^4").terms)
+    assert derive_decomposition(d, ()) is None
+
+
+def test_like_terms_are_added(catalog):
+    # phi(q)^2 by (2.12) twice: the two cross terms 2*q*phi(q^4)*psi(q^8)
+    # meet in one term with multiplier 4.
+    lhs = parse_theta_expression("phi(q)^2*Y(q^4)").terms[0]
+    rhs = (
+        "phi(q^4)^2*Y(q^4) + {m}*q*phi(q^4)*psi(q^8)*Y(q^4)"
+        " + 4*q^2*psi(q^8)^2*Y(q^4)"
+    )
+    lemmas = _lemmas(catalog, 64)
+    true = Decomposition(lhs, 4, parse_theta_expression(rhs.format(m=4)).terms)
+    assert derive_decomposition(true, lemmas) == (("eq-2.12", 1), ("eq-2.12", 1))
+    assert verify_decomposition(true, 400).ok
+    false = Decomposition(lhs, 4, parse_theta_expression(rhs.format(m=2)).terms)
+    assert derive_decomposition(false, lemmas) is None
