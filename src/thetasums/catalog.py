@@ -24,6 +24,7 @@ not allow, is a startup failure.
 A decomposition is proved from the catalog it is checked in: its lhs is
 rewritten with the identity entries whose lhs is one product and whose own
 series check passes at the same order (transfer.derive_decomposition).
+That check runs only for the lemmas a derivation uses.
 Only when no derivation exists does the row multiply out the series
 (transfer.verify_decomposition), which also supplies the failure witness;
 either way a passing row reads 'verified to order N'.  Nothing is checked
@@ -284,12 +285,12 @@ def _check_identity(entry: CatalogEntry, order: int) -> Row:
     return Row(entry.key, entry.kind, "pass" if outcome.ok else "fail", outcome.detail)
 
 
-def _lemmas(catalog: Catalog, order: int) -> tuple:
-    """(key, lhs, rhs) of the single-product identities that hold to order."""
+def _lemmas(catalog: Catalog) -> tuple:
+    """(key, lhs, rhs) of the single-product identities, not yet checked."""
     return tuple(
         (e.key, e.lhs.terms[0], e.rhs)
         for e in catalog.of_kind("identity")
-        if len(e.lhs.terms) == 1 and _identity_outcome(e.lhs, e.rhs, order).ok
+        if len(e.lhs.terms) == 1
     )
 
 
@@ -307,9 +308,24 @@ def _match_claims(rec: TransferRecord, claims: tuple[PolygonalSum, ...]) -> str 
 
 @lru_cache(maxsize=256)
 def _verified_decomposition(d: Decomposition, order: int, lemmas: tuple) -> VerifyOutcome:
-    """A derivation from the lemmas, else the series check and its witness."""
-    if max(t.shift for t in d.rhs) < order and derive_decomposition(d, lemmas) is not None:
-        return VerifyOutcome(True, None, f"verified to order {order} (k={d.modulus})")
+    """A derivation from lemmas that hold to order, else the series check and its witness.
+
+    A lemma's series check runs only once a derivation uses it.  A lemma
+    that fails is dropped and the search runs again without it, so the
+    outcome is that of a search over the lemmas that hold.
+    """
+    if max(t.shift for t in d.rhs) < order:
+        while (steps := derive_decomposition(d, lemmas)) is not None:
+            used = {name for name, _n in steps}
+            failing = {
+                key
+                for key, lhs, rhs in lemmas
+                if key in used
+                and not _identity_outcome(ThetaExpression((lhs,)), rhs, order).ok
+            }
+            if not failing:
+                return VerifyOutcome(True, None, f"verified to order {order} (k={d.modulus})")
+            lemmas = tuple(lemma for lemma in lemmas if lemma[0] not in failing)
     return verify_decomposition(d, order)
 
 
@@ -317,7 +333,7 @@ def _check_decomposition(
     entry: CatalogEntry, order: int, bound: int, catalog: Catalog
 ) -> Row:
     d = entry.decomposition
-    outcome = _verified_decomposition(d, order, _lemmas(catalog, order))
+    outcome = _verified_decomposition(d, order, _lemmas(catalog))
     if not outcome.ok:
         return Row(entry.key, entry.kind, "fail", outcome.detail)
     rec = derive_sums(d, entry.key)
@@ -434,9 +450,7 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
         if len(parts) != 2 or not parts[1].startswith("r"):
             return f"via {entry.via!r} needs a residue term like 'r2'"
         idx = int(parts[1][1:]) - 1
-        outcome = _verified_decomposition(
-            source.decomposition, order, _lemmas(catalog, order)
-        )
+        outcome = _verified_decomposition(source.decomposition, order, _lemmas(catalog))
         if not outcome.ok:
             return f"deriving identity {parts[0]} failed: {outcome.detail}"
         rec = derive_sums(source.decomposition, source.key)

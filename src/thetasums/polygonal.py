@@ -11,9 +11,11 @@ family's values onto the cached mask of the families before it, starting
 from {0}.  A sum is keyed by its sorted family keys (sum_families), so
 permuted and rescaled spellings share one mask and sums with a common
 sorted prefix share its folds.  Each distinct value of a family is folded
-once.  Verdicts are not cached: certify_universal keeps the gaps of the
-cached mask as a mask, counted by bit_count, and lists them in one linear
-scan of its binary digits only when the full list is read.
+once, in increasing order, and a fold stops once no gap is left at or
+above the next value: shifting by v sets no bit below v, so no later value
+can fill a gap.  Verdicts are not cached: certify_universal keeps the gaps
+of the cached mask as a mask, counted by bit_count, and lists them in one
+linear scan of its binary digits only when the full list is read.
 
 QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
 same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
@@ -143,11 +145,6 @@ def term_from_polygonal(coeff: int, m: int) -> QuadTerm:
     return QuadTerm(coeff, m - 2, -(m - 4))
 
 
-def sum_from_polygonals(parts: list[tuple[int, int]]) -> PolygonalSum:
-    """Build a sum from (coeff, m) pairs."""
-    return PolygonalSum(tuple(term_from_polygonal(c, m) for c, m in parts))
-
-
 def representation_series(s: PolygonalSum, bound: int) -> Series:
     """Exact representation counts of 0..bound (series order bound+1)."""
     atoms = tuple(
@@ -164,6 +161,9 @@ def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
     The last family's values are folded onto the prefix mask by shifts.
     Every family reaches 0, so a full prefix stays full: it is returned
     as the same object, and sums sharing a universal prefix share one mask.
+    The values come in increasing order and acc << v sets no bit below v,
+    so once no gap is left at or above the next value, the rest of the
+    fold changes nothing; that is tested after 2, 4, 8, ... values.
     """
     if not families:
         return 1
@@ -172,9 +172,15 @@ def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
     if acc == full:
         return acc
     a, bb, coeff = families[-1]
+    values = QuadTerm(coeff, a, -bb).values_upto(bound)
     shifted = 0
-    for v in QuadTerm(coeff, a, -bb).values_upto(bound):
+    check = 2
+    for n, v in enumerate(values, 1):
         shifted |= acc << v
+        if n == check and n < len(values):
+            if not (full & ~shifted) >> values[n]:
+                break
+            check *= 2
     return shifted & full
 
 

@@ -91,3 +91,19 @@ def brute_missing(s: PolygonalSum, bound: int) -> list[int]:
 
     rec(0, 0)
     return [n for n in range(bound + 1) if not reached[n]]
+
+
+def bitmask_sumset(s: PolygonalSum, bound: int) -> int:
+    """Mask of the integers in [0, bound] that s represents.
+
+    Every value of every term is shifted in: a shift-OR fold that never
+    stops early.
+    """
+    full = (1 << (bound + 1)) - 1
+    reached = 1
+    for term in s.terms:
+        folded = 0
+        for v in term_values_sorted(term, bound, with_multiplicity=False):
+            folded |= reached << v
+        reached = folded & full
+    return reached

@@ -12,11 +12,12 @@ import pytest
 from thetasums.catalog import load_catalog, run_catalog
 from thetasums.dsl import parse_polygonal_sum
 from thetasums.polygonal import (
+    PolygonalSum,
     certify_universal,
     equivalent_upto,
     representation_series,
     rescale_equivalence,
-    sum_from_polygonals,
+    term_from_polygonal,
 )
 from thetasums.theta import (
     ProductTerm,
@@ -228,8 +229,11 @@ def test_criterion_8_oracle_equivalence():
     bound = 2000
     failures = []
     for trial in range(100):
-        sum_ = sum_from_polygonals(
-            [(rng.randint(1, 4), rng.choice([3, 4, 5, 8])) for _ in range(4)]
+        sum_ = PolygonalSum(
+            tuple(
+                term_from_polygonal(rng.randint(1, 4), rng.choice([3, 4, 5, 8]))
+                for _ in range(4)
+            )
         )
         sieve_missing = list(certify_universal(sum_, bound).missing)
         series = representation_series(sum_, bound)

@@ -222,7 +222,7 @@ def test_a_wrong_rhs_has_no_derivation_and_fails_with_the_series_witness(
     assert BROKEN_Q1_TEXT[fault] != Q1_TEXT
     catalog = _with_identities(BROKEN_Q1_TEXT[fault])
     d = catalog.by_key["Q1"].decomposition
-    assert derive_decomposition(d, catalog_module._lemmas(catalog, 200)) is None
+    assert derive_decomposition(d, catalog_module._lemmas(catalog)) is None
     row = run_catalog(catalog, order=200, bound=500, keys=["Q1"]).rows[0]
     assert row.status == "fail"
     assert row.detail == verify_decomposition(d, 200).detail
@@ -263,3 +263,13 @@ def test_q1_alone_passes_through_the_series_check(verify_calls):
     assert (row.key, row.status) == ("Q1", "pass")
     assert row.detail == "verified to order 160; transfer certified to bound 800 (k=4)"
     assert verify_calls == [catalog.by_key["Q1"].decomposition]
+
+
+def test_a_row_checks_only_the_lemmas_its_derivation_uses(catalog):
+    catalog_module._verified_decomposition.cache_clear()
+    catalog_module._identity_outcome.cache_clear()
+    row = run_catalog(catalog, order=300, bound=600, keys=["Q1"]).rows[0]
+    assert row.detail == "verified to order 300; transfer certified to bound 600 (k=4)"
+    # Q1 is derived from (2.16) alone, so none of the other twelve
+    # identities is expanded.
+    assert catalog_module._identity_outcome.cache_info().misses == 1

@@ -19,13 +19,12 @@ from thetasums.polygonal import (
     representation_series,
     rescale_equivalence,
     sum_families,
-    sum_from_polygonals,
     sum_label,
     sum_value_mask,
     term_from_polygonal,
 )
 
-from oracles import brute_counts, brute_missing
+from oracles import bitmask_sumset, brute_counts, brute_missing
 
 
 def test_polygonal_value():
@@ -112,7 +111,7 @@ def test_value_set_symmetry_in_b():
 
 
 def test_representation_series_examples():
-    four_squares = sum_from_polygonals([(1, 4)] * 4)
+    four_squares = PolygonalSum((term_from_polygonal(1, 4),) * 4)
     series = representation_series(four_squares, 10)
     assert series[0] == 1
     assert series[1] == 8
@@ -148,8 +147,11 @@ def test_certify_monotone_in_bound():
 def test_missing_set_matches_series_and_brute_force():
     rng = random.Random(20240601)
     for _ in range(12):
-        sum_ = sum_from_polygonals(
-            [(rng.randint(1, 4), rng.choice([3, 4, 5, 8])) for _ in range(4)]
+        sum_ = PolygonalSum(
+            tuple(
+                term_from_polygonal(rng.randint(1, 4), rng.choice([3, 4, 5, 8]))
+                for _ in range(4)
+            )
         )
         bound = 400
         verdict = certify_universal(sum_, bound)
@@ -162,8 +164,11 @@ def test_missing_set_matches_series_and_brute_force():
 def test_counts_match_brute_force():
     rng = random.Random(77)
     for _ in range(6):
-        sum_ = sum_from_polygonals(
-            [(rng.randint(1, 3), rng.choice([3, 4, 5, 8])) for _ in range(4)]
+        sum_ = PolygonalSum(
+            tuple(
+                term_from_polygonal(rng.randint(1, 3), rng.choice([3, 4, 5, 8]))
+                for _ in range(4)
+            )
         )
         series = representation_series(sum_, 200)
         assert series.coeffs == tuple(brute_counts(sum_, 200))
@@ -282,6 +287,59 @@ def test_sums_sharing_a_sorted_prefix_share_its_folds():
     assert _prefix_mask.cache_info().misses == misses + 1
     sum_value_mask(parse_polygonal_sum("p8 + p5 + x(4x-2)/2 + p4"), bound)
     assert _prefix_mask.cache_info().misses == misses + 1
+
+
+# Ternary prefixes: three universal ones, whose last fold ends in a full
+# mask, and two octagonal ones, whose quaternary extensions stop late.
+PREFIXES = [
+    "p3 + p3 + p3", "p3 + p3 + p4", "p3 + p4 + p5", "p8 + p8 + p8", "3*p4 + 3*p4 + p8"
+]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.sampled_from(PREFIXES).map(lambda text: parse_polygonal_sum(text).terms),
+        st.lists(drawn_terms, min_size=3, max_size=3),
+    ),
+    st.lists(drawn_terms, max_size=1),
+    st.integers(1, 20000),
+)
+# The last fold stops at the 128-value check, and at the 256-value check
+# past bound 20000: up to 20000 no family has 256 values.
+@example(parse_polygonal_sum("3*p4 + 3*p4 + p8").terms, [term_from_polygonal(1, 8)], 20000)
+@example(parse_polygonal_sum("p8 + p8 + p8").terms, [term_from_polygonal(1, 8)], 100000)
+# p8 up to 5 is 0, 1, 5: after 0 and 1 the one gap at or above the next
+# value is 5 itself, which the fold must still fill.
+@example(parse_polygonal_sum("p8 + p8 + p8").terms, [term_from_polygonal(1, 8)], 5)
+def test_folds_that_stop_early_match_a_fold_without_exit(prefix, last, bound):
+    s = PolygonalSum(tuple(prefix) + tuple(last))
+    assert sum_value_mask(s, bound) == bitmask_sumset(s, bound)
+
+
+def test_the_last_fold_stops_once_no_gap_is_left_above_the_next_value(monkeypatch):
+    # p4 + p4 + p4 misses the numbers 4^a(8b+7); a few small squares fill
+    # every one of them, so the last fold reads only a handful of squares.
+    read = []
+    values_upto = QuadTerm.values_upto
+
+    class CountedValues(list):
+        def __iter__(self):
+            for v in list.__iter__(self):
+                read.append(v)
+                yield v
+
+    monkeypatch.setattr(
+        QuadTerm, "values_upto", lambda term, bound: CountedValues(values_upto(term, bound))
+    )
+    families = sum_families(parse_polygonal_sum("p4 + p4 + p4 + p4"))
+    bound = 100_000
+    prefix = _prefix_mask(families[:-1], bound)
+    assert prefix != (1 << (bound + 1)) - 1
+    read.clear()
+    assert _prefix_mask.__wrapped__(families, bound) == (1 << (bound + 1)) - 1
+    squares = values_upto(term_from_polygonal(1, 4), bound)
+    assert 0 < len(read) < len(squares) / 4
 
 
 def test_universal_prefix_is_shared_by_object():
