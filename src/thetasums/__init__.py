@@ -3,9 +3,10 @@
 The package has three layers: Series (exact truncated integer power
 series), symbolic theta atoms/expressions that evaluate into Series, and
 polygonal value families with bounded universality certification.  A
-curated catalog ties them together: every stored identity is re-verified
-by series expansion and every stored sum is re-certified by sieve, with a
-CLI (``thetasums``) on top.
+curated catalog ties them together: every stored identity is re-verified,
+through the one series check transfer.verify_identity or a derivation from
+identities it has checked, and every stored sum is re-certified by sieve,
+with a CLI (``thetasums``) on top.
 """
 
 from .polygonal import (

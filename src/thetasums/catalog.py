@@ -21,14 +21,19 @@ these fields:
 Entries parse at load time; malformed data, including a field the kind does
 not allow, is a startup failure.
 
-A decomposition is proved from the catalog it is checked in: its lhs is
-rewritten with the identity entries whose lhs is one product and whose own
-series check passes at the same order (transfer.derive_decomposition).
-That check runs only for the lemmas a derivation uses.
-Only when no derivation exists does the row multiply out the series
-(transfer.verify_decomposition), which also supplies the failure witness;
-either way a passing row reads 'verified to order N'.  Nothing is checked
-at load time.
+The theorem lists are read from the data, never from key names: they hold
+every target-sum with a 'via' and every member of a 'certify: members'
+chain.  A target-sum with no 'via', or with an 'anchor' field, is anchored:
+some theorem list must contain its sum, or none may under 'anchor: none'.
+
+Every series check is transfer.verify_identity.  A decomposition is proved
+from the catalog it is checked in: its lhs is rewritten with the identity
+entries whose lhs is one product and whose own series check passes at the
+same order (transfer.derive_decomposition).  That check runs only for the
+lemmas a derivation uses.  Only when no derivation exists does the row
+multiply out the series (transfer.verify_decomposition), which also
+supplies the failure witness; either way a passing row reads 'verified to
+order N'.  Nothing is checked at load time.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .polygonal import (
     sum_families,
     sum_label,
 )
-from .theta import ThetaExpression, expression_series
+from .theta import ThetaExpression
 from .transfer import (
     Decomposition,
     TransferRecord,
@@ -56,6 +61,7 @@ from .transfer import (
     derive_sums,
     transfer_universality,
     verify_decomposition,
+    verify_identity,
 )
 
 FIELDS = {
@@ -106,12 +112,16 @@ class Catalog:
 
     @cached_property
     def theorem_anchors(self) -> dict[tuple, str]:
-        """Family-key index of every theorem target and chain member."""
+        """Family-key index of the theorem lists, read from the data.
+
+        A theorem lists the target-sums it derives (those with a 'via') and
+        the members of its 'certify: members' chains; the first entry wins.
+        """
         index: dict[tuple, str] = {}
         for e in self.entries:
-            if e.kind == "target-sum" and e.key.startswith("thm"):
+            if e.kind == "target-sum" and e.via:
                 index.setdefault(sum_families(e.target), e.key)
-            elif e.kind == "equivalence" and e.key.startswith("thm3.4"):
+            elif e.kind == "equivalence" and "certify" in e.fields:
                 for s in e.chain:
                     index.setdefault(sum_families(s), e.key)
         return index
@@ -262,26 +272,8 @@ class Row:
         return self.status == "pass"
 
 
-@lru_cache(maxsize=256)
-def _identity_outcome(
-    lhs: ThetaExpression, rhs: ThetaExpression, order: int
-) -> VerifyOutcome:
-    """The series check of an identity, shared by its row and its use as a lemma."""
-    shifts = [t.shift for t in lhs.terms + rhs.terms]
-    worst = max(shifts) if shifts else 0
-    if worst >= order:
-        return VerifyOutcome(False, None, f"insufficient order {order} for shift {worst}")
-    left = expression_series(lhs, order)
-    right = expression_series(rhs, order)
-    ok, diff = left.equal_upto(right, order)
-    if ok:
-        return VerifyOutcome(True, None, f"series equal to order {order}")
-    e, a, b = diff
-    return VerifyOutcome(False, e, f"first difference at q^{e}: {a} vs {b}")
-
-
 def _check_identity(entry: CatalogEntry, order: int) -> Row:
-    outcome = _identity_outcome(entry.lhs, entry.rhs, order)
+    outcome = verify_identity(entry.lhs, entry.rhs, order)
     return Row(entry.key, entry.kind, "pass" if outcome.ok else "fail", outcome.detail)
 
 
@@ -321,7 +313,7 @@ def _verified_decomposition(d: Decomposition, order: int, lemmas: tuple) -> Veri
                 key
                 for key, lhs, rhs in lemmas
                 if key in used
-                and not _identity_outcome(ThetaExpression((lhs,)), rhs, order).ok
+                and not verify_identity(ThetaExpression((lhs,)), rhs, order).ok
             }
             if not failing:
                 return VerifyOutcome(True, None, f"verified to order {order} (k={d.modulus})")
@@ -407,21 +399,16 @@ def _check_base_fact(entry: CatalogEntry, bound: int) -> Row:
 def _check_target(
     entry: CatalogEntry, bound: int, catalog: Catalog, order: int
 ) -> Row:
-    verdict = certify_universal(entry.target, bound)
-    if not verdict.universal:
-        return Row(
-            entry.key,
-            entry.kind,
-            "fail",
-            f"missing {verdict.head(5)} up to {bound}",
-        )
-    notes = [f"certified universal up to {bound}"]
+    row = _check_base_fact(entry, bound)
+    if not row.ok:
+        return row
+    notes = [row.detail]
     if entry.via:
         err = _check_via(entry, catalog, order)
         if err:
             return Row(entry.key, entry.kind, "fail", err)
         notes.append(f"via {entry.via}")
-    if entry.anchor is not None or entry.key.startswith("sec1"):
+    if entry.anchor is not None or not entry.via:
         hit = catalog.theorem_anchors.get(sum_families(entry.target))
         if entry.anchor == "none":
             if hit:
@@ -439,15 +426,16 @@ def _check_target(
 def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
     """Validate a 'via: KEY [rN]' annotation against the deriving entry.
 
-    For decompositions the deriving identity is re-verified by series, so a
-    theorem reproduction is self-contained even when run key-by-key.
+    A deriving decomposition is checked again at this order, derived from
+    its lemmas or else series-checked, so a theorem reproduction is
+    self-contained even when run key-by-key.
     """
     parts = entry.via.split()
     source = catalog.by_key.get(parts[0])
     if source is None:
         return f"via references unknown key {parts[0]!r}"
     if source.kind == "decomposition":
-        if len(parts) != 2 or not parts[1].startswith("r"):
+        if len(parts) != 2:
             return f"via {entry.via!r} needs a residue term like 'r2'"
         idx = int(parts[1][1:]) - 1
         outcome = _verified_decomposition(source.decomposition, order, _lemmas(catalog))

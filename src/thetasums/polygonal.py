@@ -20,7 +20,8 @@ linear scan of its binary digits only when the full list is read.
 QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
 same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
 canonical atoms (i <= j) this inverts the map transfer.derive_sums applies,
-and it is how representation counts come from theta.product_series.
+and it is how representation counts come from theta.product_series and
+values_upto from theta.atom_exponents.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import compress
 from math import gcd
 
 from .series import Series
-from .theta import ThetaAtom, product_series
+from .theta import ThetaAtom, atom_exponents, product_series
 
 
 @dataclass(frozen=True, order=True)
@@ -63,22 +64,8 @@ class QuadTerm:
 
     def values_upto(self, bound: int) -> list[int]:
         """All family values <= bound, each once, in increasing order."""
-        out = []
-        x = 0
-        while True:
-            v = self.value(x)
-            if v > bound:
-                break
-            out.append(v)
-            x += 1
-        x = -1
-        while True:
-            v = self.value(x)
-            if v > bound:
-                break
-            out.append(v)
-            x -= 1
-        return sorted(set(out))
+        c, a, b = self.coeff, self.a, self.b
+        return sorted(set(atom_exponents(c * (a + b) // 2, c * (a - b) // 2, bound)))
 
 
 @dataclass(frozen=True)

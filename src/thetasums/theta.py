@@ -118,25 +118,25 @@ def canonicalize(term: ProductTerm) -> ProductTerm:
     return ProductTerm(mult, term.shift, tuple(atoms))
 
 
+def atom_exponents(i: int, j: int, limit: int) -> list[int]:
+    """Every exponent i*n(n+1)/2 + j*n(n-1)/2 <= limit, n over all integers.
+
+    Listed with multiplicity, for n = 0, 1, 2, ... and then n = -1, -2, ...;
+    each branch is nondecreasing, so it stops at its first exponent over limit.
+    """
+    out = []
+    for n, step in ((0, 1), (-1, -1)):
+        while (e := (i * n * (n + 1) + j * n * (n - 1)) // 2) <= limit:
+            out.append(e)
+            n += step
+    return out
+
+
 @lru_cache(maxsize=4096)
 def _atom_series(i: int, j: int, order: int) -> Series:
     coeffs = [0] * order
-    # n >= 0 branch: exponent i*n(n+1)/2 + j*n(n-1)/2 is nondecreasing.
-    n = 0
-    while True:
-        e = (i * n * (n + 1) + j * n * (n - 1)) // 2
-        if e >= order:
-            break
+    for e in atom_exponents(i, j, order - 1):
         coeffs[e] += 1
-        n += 1
-    # n <= -1 branch, strictly increasing as n decreases.
-    n = -1
-    while True:
-        e = (i * n * (n + 1) + j * n * (n - 1)) // 2
-        if e >= order:
-            break
-        coeffs[e] += 1
-        n -= 1
     return Series._wrap(coeffs)
 
 
@@ -161,11 +161,7 @@ def product_series(atoms: tuple[ThetaAtom, ...], order: int) -> Series:
 
 
 def term_series(term: ProductTerm, order: int) -> Series:
-    if term.shift >= order:
-        return Series.zero(order)
-    body = product_series(term.atoms, order - term.shift)
-    coeffs = [0] * term.shift + [term.multiplier * c for c in body.coeffs]
-    return Series(coeffs, order)
+    return product_series(term.atoms, order).scale(term.multiplier).shift(term.shift)
 
 
 def expression_series(expr: ThetaExpression, order: int) -> Series:

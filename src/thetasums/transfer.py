@@ -12,15 +12,17 @@ rewrites the lhs with identity lemmas applied under q -> q^n until it equals
 the rhs term for term.  A lemma that holds to order N still does after
 q -> q^n, after multiplying by any atoms and after shifting, and
 canonicalize is exact, so a derivation from lemmas checked to order N proves
-the decomposition to order N.  verify_decomposition, the coefficient-by-
-coefficient series product, is the fallback when no derivation is found and
-the reference the derivation is tested against.
+the decomposition to order N.  verify_decomposition series-checks it as
+the identity it is, through verify_identity, the one series check; it is
+the fallback when no derivation is found and the reference the derivation
+is tested against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .polygonal import (
     PolygonalSum,
@@ -28,8 +30,13 @@ from .polygonal import (
     UniversalityVerdict,
     certify_universal,
 )
-from .series import Series
-from .theta import ProductTerm, ThetaAtom, canonicalize, product_series
+from .theta import (
+    ProductTerm,
+    ThetaAtom,
+    ThetaExpression,
+    canonicalize,
+    expression_series,
+)
 
 # Longest derivation derive_decomposition searches for; every packaged
 # decomposition needs at most three lemma applications.
@@ -91,9 +98,13 @@ class TransferRecord:
 
 @dataclass(frozen=True)
 class VerifyOutcome:
+    """A series check; a failure at an exponent keeps both coefficients there."""
+
     ok: bool
     exponent: int | None = None
     detail: str = ""
+    left: int | None = None
+    right: int | None = None
 
 
 @dataclass(frozen=True)
@@ -111,33 +122,41 @@ class TransferOutcome:
     rhs_results: tuple[tuple[PolygonalSum, int, UniversalityVerdict], ...]
 
 
-def _descaled_atoms(term: ProductTerm, k: int) -> tuple[ThetaAtom, ...]:
-    return tuple(ThetaAtom(a.i // k, a.j // k) for a in term.atoms)
+@lru_cache(maxsize=256)
+def verify_identity(
+    lhs: ThetaExpression, rhs: ThetaExpression, order: int
+) -> VerifyOutcome:
+    """Exact comparison of the two expansions up to the given order.
+
+    The one series check: identity rows, lemmas and decompositions all come
+    here.  A failure keeps the least differing exponent and both coefficients.
+    """
+    worst = max((t.shift for t in lhs.terms + rhs.terms), default=0)
+    if worst >= order:
+        return VerifyOutcome(False, None, f"insufficient order {order} for shift {worst}")
+    left, right = expression_series(lhs, order), expression_series(rhs, order)
+    ok, diff = left.equal_upto(right, order)
+    if ok:
+        return VerifyOutcome(True, None, f"series equal to order {order}")
+    e, a, b = diff
+    return VerifyOutcome(False, e, f"first difference at q^{e}: {a} vs {b}", a, b)
 
 
 def verify_decomposition(d: Decomposition, order: int) -> VerifyOutcome:
-    """Exact check of the decomposition up to the given order.
+    """verify_identity of lhs against the sum of the rhs terms, worded per residue.
 
-    The rhs is assembled residue by residue: term t puts multiplier times
-    coefficient m of its descaled product at q^(k*m + shift).  One full
-    comparison with the lhs then checks every per-residue identity and the
-    vanishing of the lhs on residues no rhs term covers.
+    The rhs terms live on distinct residues mod k, so one full comparison
+    checks every per-residue identity and the vanishing of the lhs on
+    residues no rhs term covers.
     """
-    k = d.modulus
-    worst = max(t.shift for t in d.rhs)
-    if worst >= order:
-        return VerifyOutcome(False, None, f"insufficient order {order} for shift {worst}")
-    lhs = product_series(d.lhs.atoms, order)
-    assembled = [0] * order
-    for t in d.rhs:
-        sub_order = (order - t.shift + k - 1) // k
-        descaled = product_series(_descaled_atoms(t, k), sub_order)
-        assembled[t.shift::k] = [t.multiplier * c for c in descaled.coeffs]
-    ok, diff = lhs.equal_upto(Series._wrap(assembled), order)
-    if not ok:
-        e, a, b = diff
-        return VerifyOutcome(False, e, f"residue {e % k}: coefficient {a} vs {b} at q^{e}")
-    return VerifyOutcome(True, None, f"verified to order {order} (k={k})")
+    out = verify_identity(ThetaExpression((d.lhs,)), ThetaExpression(d.rhs), order)
+    k, e = d.modulus, out.exponent
+    if out.ok:
+        return VerifyOutcome(True, None, f"verified to order {order} (k={k})")
+    if e is None:
+        return out
+    detail = f"residue {e % k}: coefficient {out.left} vs {out.right} at q^{e}"
+    return replace(out, detail=detail)
 
 
 def _scaled(atoms: tuple[ThetaAtom, ...], n: int) -> tuple[ThetaAtom, ...]:

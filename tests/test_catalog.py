@@ -9,7 +9,12 @@ from thetasums.catalog import (
     run_catalog,
 )
 from thetasums.polygonal import sum_families
-from thetasums.transfer import derive_decomposition, derive_sums, verify_decomposition
+from thetasums.transfer import (
+    derive_decomposition,
+    derive_sums,
+    verify_decomposition,
+    verify_identity,
+)
 
 
 def test_load_counts(catalog):
@@ -165,6 +170,16 @@ def test_section1_anchor_exception_is_explicit(catalog):
     assert [e.key for e in flagged] == ["sec1-13-03"]
 
 
+def test_a_via_less_target_is_anchored_whatever_its_key(catalog):
+    # p3+p3+p3 is universal (Gauss), but no theorem lists a ternary sum.
+    extra = Catalog(
+        catalog.entries
+        + parse_catalog_text('[extra-gauss] kind: target-sum ref: "x"\nsum: p3+p3+p3')
+    )
+    row = run_catalog(extra, order=50, bound=500, keys=["extra-gauss"]).rows[0]
+    assert (row.status, row.detail) == ("fail", "no theorem list contains this sum")
+
+
 def test_run_checks_the_given_catalog():
     # The key eq-2.12 also names a true identity in the packaged catalog.
     text = (
@@ -267,9 +282,47 @@ def test_q1_alone_passes_through_the_series_check(verify_calls):
 
 def test_a_row_checks_only_the_lemmas_its_derivation_uses(catalog):
     catalog_module._verified_decomposition.cache_clear()
-    catalog_module._identity_outcome.cache_clear()
+    verify_identity.cache_clear()
     row = run_catalog(catalog, order=300, bound=600, keys=["Q1"]).rows[0]
     assert row.detail == "verified to order 300; transfer certified to bound 600 (k=4)"
     # Q1 is derived from (2.16) alone, so none of the other twelve
     # identities is expanded.
-    assert catalog_module._identity_outcome.cache_info().misses == 1
+    assert verify_identity.cache_info().misses == 1
+
+
+# Three edits to the packaged catalog, each an exact text replacement.
+BROKEN_EDITS = (
+    ("+ q*X(q^16)*Y(q^4)^3", "+ 2*q*X(q^16)*Y(q^4)^3"),  # Q1
+    ("+ 2*q*psi(q^12)*X(q^2)*X(q^4)^2", "+ 2*q*psi(q^4)*X(q^2)*X(q^4)^2"),  # Q2
+    ("+ 2*q*psi(q^12)*X(q^4)\n", "+ 3*q*psi(q^12)*X(q^4)\n"),  # eq-2.20
+)
+
+
+@pytest.fixture(scope="module")
+def broken_catalog():
+    root = default_catalog_dir()
+    text = "\n".join(
+        (root / name).read_text()
+        for name in sorted(r.name for r in root.iterdir() if r.name.endswith(".cat"))
+    )
+    for old, new in BROKEN_EDITS:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return Catalog(parse_catalog_text(text))
+
+
+def test_failing_rows_keep_their_exact_details(broken_catalog):
+    keys = ["Q1", "Q2", "eq-2.20", "thm3.1-01"]
+    rows = run_catalog(broken_catalog, order=1000, bound=1000, keys=keys).rows
+    assert [(r.key, r.status, r.detail) for r in rows] == [
+        ("Q1", "fail", "residue 1: coefficient 1 vs 2 at q^1"),
+        ("Q2", "fail", "residue 1: coefficient 6 vs 8 at q^5"),
+        ("eq-2.20", "fail", "first difference at q^1: 2 vs 3"),
+        (
+            "thm3.1-01",
+            "fail",
+            "deriving identity Q1 failed: residue 1: coefficient 1 vs 2 at q^1",
+        ),
+    ]
+    row = run_catalog(broken_catalog, order=3, bound=1000, keys=["Q1"]).rows[0]
+    assert (row.status, row.detail) == ("fail", "insufficient order 3 for shift 3")
