@@ -8,14 +8,18 @@ computed unless representation counts are asked for explicitly.
 
 One fold builds every mask: _prefix_mask(families, bound) shifts the last
 family's values onto the cached mask of the families before it, starting
-from {0}.  A sum is keyed by its sorted family keys (sum_families), so
-permuted and rescaled spellings share one mask and sums with a common
-sorted prefix share its folds.  Each distinct value of a family is folded
-once, in increasing order, and a fold stops once no gap is left at or
-above the next value: shifting by v sets no bit below v, so no later value
-can fill a gap.  Verdicts are not cached: certify_universal keeps the gaps
-of the cached mask as a mask, counted by bit_count, and lists them in one
-linear scan of its binary digits only when the full list is read.
+from {0}.  A sum is keyed by its family keys in canonical densest-first
+order (sum_families), so permuted and rescaled spellings share one mask,
+sums with a common prefix share its folds, and the sparsest family is
+folded last.  Each distinct value of a family is folded once, in
+increasing order, and a fold stops once no gap is left at or above the
+next value: shifting by v sets no bit below v, so no later value can fill
+a gap.  Every value is >= 0, so a mask at bound b is the low b + 1 bits of
+the same families' mask at any wider bound; a request below the widest
+bound already folded is answered by truncation, not by a fold.  Verdicts
+are not cached: certify_universal keeps the gaps of the cached mask as a
+mask, counted by bit_count, and lists them in one linear scan of its
+binary digits only when the full list is read.
 
 QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
 same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
@@ -141,6 +145,10 @@ def representation_series(s: PolygonalSum, bound: int) -> Series:
     return product_series(atoms, bound + 1)
 
 
+# The widest bound each family tuple has been folded at; bounds, not masks.
+_widest_bound: dict[tuple[tuple[int, int, int], ...], int] = {}
+
+
 @lru_cache(maxsize=4096)
 def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
     """Bitmask of the sumset of the given family keys within [0, bound].
@@ -148,6 +156,8 @@ def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
     The last family's values are folded onto the prefix mask by shifts.
     Every family reaches 0, so a full prefix stays full: it is returned
     as the same object, and sums sharing a universal prefix share one mask.
+    Below the widest bound these families were folded at, the mask is that
+    mask truncated to [0, bound]: no value is negative.
     The values come in increasing order and acc << v sets no bit below v,
     so once no gap is left at or above the next value, the rest of the
     fold changes nothing; that is tested after 2, 4, 8, ... values.
@@ -158,6 +168,10 @@ def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
     full = (1 << (bound + 1)) - 1
     if acc == full:
         return acc
+    widest = _widest_bound.get(families, bound)
+    if widest > bound:
+        return _prefix_mask(families, widest) & full
+    _widest_bound[families] = bound
     a, bb, coeff = families[-1]
     values = QuadTerm(coeff, a, -bb).values_upto(bound)
     shifted = 0
@@ -176,7 +190,7 @@ def sum_value_mask(s: PolygonalSum, bound: int) -> int:
     """Bitmask of representable integers in [0, bound].
 
     Spellings with the same family keys (permuted, rescaled, or p6 for p3)
-    share one mask, and sums sharing a sorted prefix share its folds.
+    share one mask, and sums sharing a prefix of sum_families share its folds.
     """
     return _prefix_mask(sum_families(s), bound)
 
@@ -256,9 +270,24 @@ def family_key(term: QuadTerm) -> tuple[int, int, int]:
     return (a, bb, r.coeff)
 
 
+def _density_rank(key: tuple[int, int, int]) -> tuple[int, tuple[int, int, int]]:
+    """Fewer values up to N for a larger rank; ties broken by the key.
+
+    coeff * x(a*x - b)/2 has about m * sqrt(2N / (coeff * a)) values up to
+    N, with m = 1 when a divides b (x and b/a - x give one value) and m = 2
+    otherwise, so coeff * a * 4 / m^2 orders the families by that count.
+    """
+    a, bb, coeff = key
+    return (coeff * a * (4 if bb % a == 0 else 1), key)
+
+
 def sum_families(s: PolygonalSum) -> tuple[tuple[int, int, int], ...]:
-    """Sorted family keys; two sums match iff these tuples are equal."""
-    return tuple(sorted(family_key(t) for t in s.terms))
+    """Family keys, densest first; two sums match iff these tuples are equal.
+
+    The order is canonical, and the sparsest family is folded last, where a
+    fold most often stops early.
+    """
+    return tuple(sorted(map(family_key, s.terms), key=_density_rank))
 
 
 def polygonal_order_of(term: QuadTerm) -> int | None:

@@ -1,6 +1,7 @@
 import pytest
 
 from thetasums import catalog as catalog_module
+from thetasums import polygonal
 from thetasums.catalog import (
     Catalog,
     CatalogError,
@@ -8,7 +9,7 @@ from thetasums.catalog import (
     parse_catalog_text,
     run_catalog,
 )
-from thetasums.polygonal import sum_families
+from thetasums.polygonal import QuadTerm, sum_families
 from thetasums.transfer import (
     derive_decomposition,
     derive_sums,
@@ -191,6 +192,30 @@ def test_run_checks_the_given_catalog():
     assert [(r.key, r.status) for r in report.rows] == [
         ("eq-2.12", "fail"),
         ("only-here", "pass"),
+    ]
+
+
+def test_derived_bounds_are_answered_from_full_bound_masks(catalog, monkeypatch):
+    # Q1 (k = 4) certifies its rhs sums, thm3.1-01..04, up to the derived
+    # bounds 10240 and 10239; the target rows certify them up to 40961.
+    keys = ["Q1", "thm3.1-01", "thm3.1-02", "thm3.1-03", "thm3.1-04"]
+    order, bound = 200, 40961
+    folded = []
+    values_upto = QuadTerm.values_upto
+
+    def counted(term, b):
+        folded.append(b)
+        return values_upto(term, b)
+
+    monkeypatch.setattr(QuadTerm, "values_upto", counted)
+    # Forget masks folded at wider bounds by earlier tests.
+    monkeypatch.setattr(polygonal, "_widest_bound", {})
+    rows = run_catalog(catalog, order=order, bound=bound, keys=keys).rows
+    assert bound in folded
+    assert not {10239, 10240} & set(folded)
+    assert [r.key for r in rows] == keys
+    assert rows == [
+        run_catalog(catalog, order=order, bound=bound, keys=[k]).rows[0] for k in keys
     ]
 
 

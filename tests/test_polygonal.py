@@ -283,10 +283,51 @@ def test_sums_sharing_a_sorted_prefix_share_its_folds():
     bound = 3217
     sum_value_mask(parse_polygonal_sum("p3 + p4 + p5 + p8"), bound)
     misses = _prefix_mask.cache_info().misses
-    sum_value_mask(parse_polygonal_sum("p3 + p4 + p5 + 2*p8"), bound)
+    sum_value_mask(parse_polygonal_sum("p3 + 2*p4 + p5 + p8"), bound)
     assert _prefix_mask.cache_info().misses == misses + 1
     sum_value_mask(parse_polygonal_sum("p8 + p5 + x(4x-2)/2 + p4"), bound)
     assert _prefix_mask.cache_info().misses == misses + 1
+
+
+def test_families_come_densest_first():
+    # Up to N, c * x(a*x - b)/2 has about m * sqrt(2N / (c*a)) values (m = 1
+    # when a divides b), so counts may rise along the order only where two
+    # families tie asymptotically, and then by one value.
+    terms = [term_from_polygonal(c, m) for c in range(1, 9) for m in (3, 4, 5, 7, 8)]
+    families = sum_families(PolygonalSum(tuple(terms)))
+    for bound in (1000, 30000, 100000, 10**6):
+        counts = [len(QuadTerm(c, a, -bb).values_upto(bound)) for a, bb, c in families]
+        rises = [later - earlier for earlier, later in zip(counts, counts[1:])]
+        assert max(rises) <= 1
+        assert rises.count(1) <= 6
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.lists(drawn_terms, min_size=1, max_size=4),
+    st.integers(1, 3000),
+    st.integers(1, 3000),
+    st.booleans(),
+)
+def test_a_mask_truncated_from_a_wider_bound_matches_a_fresh_fold(
+    terms, b1, b2, wide_first
+):
+    # Whichever bound is asked first, the other is then answered from it
+    # or widens it; both must equal a fold that never stops early.
+    s = PolygonalSum(tuple(terms))
+    families = sum_families(s)
+    low, high = sorted((b1, b2))
+    for bound in (high, low) if wide_first else (low, high):
+        assert _prefix_mask(families, bound) == bitmask_sumset(s, bound)
+
+
+def test_a_truncated_universal_prefix_is_still_shared_by_object():
+    wide, bound = 2027, 1031
+    gauss = sum_families(parse_polygonal_sum("p3 + p3 + p3"))
+    assert _prefix_mask(gauss, wide) == (1 << (wide + 1)) - 1
+    prefix = _prefix_mask(gauss, bound)
+    assert prefix == (1 << (bound + 1)) - 1
+    assert sum_value_mask(parse_polygonal_sum("p3 + p3 + p3 + p4"), bound) is prefix
 
 
 # Ternary prefixes: three universal ones, whose last fold ends in a full
