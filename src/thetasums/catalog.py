@@ -328,7 +328,7 @@ def _check_decomposition(
     outcome = _verified_decomposition(d, order, _lemmas(catalog))
     if not outcome.ok:
         return Row(entry.key, entry.kind, "fail", outcome.detail)
-    rec = derive_sums(d, entry.key)
+    rec = derive_sums(d)
     transfer = transfer_universality(rec, bound)
     problems = []
     if entry.claims:
@@ -441,7 +441,7 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
         outcome = _verified_decomposition(source.decomposition, order, _lemmas(catalog))
         if not outcome.ok:
             return f"deriving identity {parts[0]} failed: {outcome.detail}"
-        rec = derive_sums(source.decomposition, source.key)
+        rec = derive_sums(source.decomposition)
         if not 0 <= idx < len(rec.rhs_sums):
             return f"via {entry.via!r}: no residue term {idx + 1}"
         if sum_families(rec.rhs_sums[idx]) != sum_families(entry.target):
@@ -516,7 +516,8 @@ def run_catalog(
     order.  They alone certify sums below the full bound, at the bounds
     derived from the lhs bound; in the packaged catalog every such sum is
     a theorem sum that other rows certify at the full bound, so its mask
-    is by then a truncation of one already built.
+    is by then the truncation of the widest mask kept for its families, and
+    nothing is folded or kept at a derived bound.
     """
     selected = catalog.entries
     if kinds is not None:

@@ -7,19 +7,19 @@ sumset of two masks is an OR of shifts, so only positivity is ever
 computed unless representation counts are asked for explicitly.
 
 One fold builds every mask: _prefix_mask(families, bound) shifts the last
-family's values onto the cached mask of the families before it, starting
-from {0}.  A sum is keyed by its family keys in canonical densest-first
-order (sum_families), so permuted and rescaled spellings share one mask,
-sums with a common prefix share its folds, and the sparsest family is
-folded last.  Each distinct value of a family is folded once, in
-increasing order, and a fold stops once no gap is left at or above the
-next value: shifting by v sets no bit below v, so no later value can fill
-a gap.  Every value is >= 0, so a mask at bound b is the low b + 1 bits of
-the same families' mask at any wider bound; a request below the widest
-bound already folded is answered by truncation, not by a fold.  Verdicts
-are not cached: certify_universal keeps the gaps of the cached mask as a
-mask, counted by bit_count, and lists them in one linear scan of its
-binary digits only when the full list is read.
+family's values onto the mask of the families before it, starting from {0}.
+A sum is keyed by its family keys in canonical densest-first order
+(sum_families), so permuted and rescaled spellings share one mask, sums
+with a common prefix share its folds, and the sparsest family is folded
+last.  Each distinct value of a family is folded once, in increasing order,
+and a fold stops once no gap is left at or above the next value: shifting
+by v sets no bit below v, so no later value can fill a gap.  Every value is
+>= 0, so a mask at bound b is the low b + 1 bits of the same families' mask
+at any wider bound: one store, _masks, keeps only the widest mask folded
+for each family tuple, and a request below that bound is answered by
+truncation, not by a fold.  Verdicts are not cached: certify_universal
+keeps the gaps of the mask as a mask, counted by bit_count, and lists them
+in one linear scan of its binary digits only when the full list is read.
 
 QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
 same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
@@ -145,33 +145,35 @@ def representation_series(s: PolygonalSum, bound: int) -> Series:
     return product_series(atoms, bound + 1)
 
 
-# The widest bound each family tuple has been folded at; bounds, not masks.
-_widest_bound: dict[tuple[tuple[int, int, int], ...], int] = {}
+# The widest mask folded for each family tuple, as (bound, mask), oldest
+# key first; a new key past _MAX_MASKS drops the oldest.
+_masks: dict[tuple[tuple[int, int, int], ...], tuple[int, int]] = {}
+_MAX_MASKS = 4096
 
 
-@lru_cache(maxsize=4096)
 def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
     """Bitmask of the sumset of the given family keys within [0, bound].
 
-    The last family's values are folded onto the prefix mask by shifts.
-    Every family reaches 0, so a full prefix stays full: it is returned
-    as the same object, and sums sharing a universal prefix share one mask.
-    Below the widest bound these families were folded at, the mask is that
-    mask truncated to [0, bound]: no value is negative.
-    The values come in increasing order and acc << v sets no bit below v,
-    so once no gap is left at or above the next value, the rest of the
-    fold changes nothing; that is tested after 2, 4, 8, ... values.
+    A tuple stored at this bound returns the stored mask, and one stored at a
+    wider bound returns that mask truncated to [0, bound]: no value is
+    negative.  Otherwise the last family's values are folded onto the prefix
+    mask by shifts and the result replaces the tuple's entry.  Every family
+    reaches 0, so a full prefix stays full: the prefix mask itself is returned
+    and nothing is stored, and sums sharing a universal prefix share one mask.
+    The values come in increasing order and acc << v sets no bit below v, so
+    once no gap is left at or above the next value, the rest of the fold
+    changes nothing; that is tested after 2, 4, 8, ... values.
     """
     if not families:
         return 1
+    stored = _masks.get(families)
+    if stored is not None and stored[0] >= bound:
+        widest, mask = stored
+        return mask if widest == bound else mask & ((1 << (bound + 1)) - 1)
     acc = _prefix_mask(families[:-1], bound)
     full = (1 << (bound + 1)) - 1
     if acc == full:
         return acc
-    widest = _widest_bound.get(families, bound)
-    if widest > bound:
-        return _prefix_mask(families, widest) & full
-    _widest_bound[families] = bound
     a, bb, coeff = families[-1]
     values = QuadTerm(coeff, a, -bb).values_upto(bound)
     shifted = 0
@@ -182,10 +184,13 @@ def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
             if not (full & ~shifted) >> values[n]:
                 break
             check *= 2
-    return shifted & full
+    mask = shifted & full
+    if families not in _masks and len(_masks) >= _MAX_MASKS:
+        del _masks[next(iter(_masks))]
+    _masks[families] = (bound, mask)
+    return mask
 
 
-@lru_cache(maxsize=4096)
 def sum_value_mask(s: PolygonalSum, bound: int) -> int:
     """Bitmask of representable integers in [0, bound].
 
@@ -220,6 +225,8 @@ def equivalent_upto(
     Returns (True, None) or (False, w) with w the least witness present in
     exactly one of the sets.
     """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     diff = sum_value_mask(s1, bound) ^ sum_value_mask(s2, bound)
     if diff == 0:
         return True, None
@@ -281,6 +288,7 @@ def _density_rank(key: tuple[int, int, int]) -> tuple[int, tuple[int, int, int]]
     return (coeff * a * (4 if bb % a == 0 else 1), key)
 
 
+@lru_cache(maxsize=4096)
 def sum_families(s: PolygonalSum) -> tuple[tuple[int, int, int], ...]:
     """Family keys, densest first; two sums match iff these tuples are equal.
 

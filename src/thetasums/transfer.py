@@ -93,7 +93,6 @@ class TransferRecord:
     rhs_sums: tuple[PolygonalSum, ...]
     shifts: tuple[int, ...]
     modulus: int
-    source: str = ""
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,7 @@ def derive_decomposition(
     return None
 
 
-def derive_sums(d: Decomposition, source: str = "") -> TransferRecord:
+def derive_sums(d: Decomposition) -> TransferRecord:
     """Read the polygonal sums off the atoms; multipliers play no role."""
     k = d.modulus
     lhs_sum = PolygonalSum(
@@ -263,7 +262,7 @@ def derive_sums(d: Decomposition, source: str = "") -> TransferRecord:
             )
         )
         shifts.append(t.shift)
-    return TransferRecord(lhs_sum, tuple(rhs_sums), tuple(shifts), k, source)
+    return TransferRecord(lhs_sum, tuple(rhs_sums), tuple(shifts), k)
 
 
 def rhs_bound(lhs_bound: int, shift: int, modulus: int) -> int:

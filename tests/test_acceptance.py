@@ -176,7 +176,7 @@ def test_criterion_6_transfer_consistency(catalog):
         if not outcome.ok:
             failures.append((entry.key, outcome.detail))
             continue
-        rec = derive_sums(d, entry.key)
+        rec = derive_sums(d)
         n = 10000
         lhs_bound = d.modulus * n + d.modulus - 1
         lhs_ok = certify_universal(rec.lhs_sum, lhs_bound).universal

@@ -110,7 +110,7 @@ def test_malformed_via_fails_at_load(via):
 
 def test_every_claim_matches_derived_sums(catalog):
     for entry in catalog.of_kind("decomposition"):
-        rec = derive_sums(entry.decomposition, entry.key)
+        rec = derive_sums(entry.decomposition)
         assert len(entry.claims) == len(rec.rhs_sums), entry.key
         for claim, derived in zip(entry.claims, rec.rhs_sums):
             assert sum_families(claim) == sum_families(derived), entry.key
@@ -126,12 +126,12 @@ def test_every_via_resolves(catalog):
 def test_duplicate_derivations_are_both_kept(catalog):
     # The same sum is claimed from two different decompositions; the catalog
     # keeps both derivations rather than merging them.
-    q11 = derive_sums(catalog.by_key["Q11"].decomposition, "Q11")
-    q18 = derive_sums(catalog.by_key["Q18"].decomposition, "Q18")
+    q11 = derive_sums(catalog.by_key["Q11"].decomposition)
+    q18 = derive_sums(catalog.by_key["Q18"].decomposition)
     assert sum_families(q11.rhs_sums[3]) == sum_families(q18.rhs_sums[2])
 
-    q17 = derive_sums(catalog.by_key["Q17"].decomposition, "Q17")
-    qx13 = derive_sums(catalog.by_key["QX13"].decomposition, "QX13")
+    q17 = derive_sums(catalog.by_key["Q17"].decomposition)
+    qx13 = derive_sums(catalog.by_key["QX13"].decomposition)
     assert sum_families(q17.rhs_sums[3]) == sum_families(qx13.rhs_sums[2])
 
 
@@ -209,7 +209,7 @@ def test_derived_bounds_are_answered_from_full_bound_masks(catalog, monkeypatch)
 
     monkeypatch.setattr(QuadTerm, "values_upto", counted)
     # Forget masks folded at wider bounds by earlier tests.
-    monkeypatch.setattr(polygonal, "_widest_bound", {})
+    monkeypatch.setattr(polygonal, "_masks", {})
     rows = run_catalog(catalog, order=order, bound=bound, keys=keys).rows
     assert bound in folded
     assert not {10239, 10240} & set(folded)

@@ -240,15 +240,44 @@ def test_sum_label():
     assert sum_label(s) == "6*p3 + p5 + 2*p8"
 
 
-def test_certify_and_equivalence_share_one_sieve_entry():
-    # A bound and sums no other test uses, so both start uncached.
+@pytest.fixture
+def fresh_masks(monkeypatch):
+    """An empty mask store, so masks of earlier tests hide no fold."""
+    masks = {}
+    monkeypatch.setattr(polygonal, "_masks", masks)
+    return masks
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """(family key, bound) of every fold, in call order."""
+    calls = []
+    values_upto = QuadTerm.values_upto
+
+    def counted(term, bound):
+        calls.append((family_key(term), bound))
+        return values_upto(term, bound)
+
+    monkeypatch.setattr(QuadTerm, "values_upto", counted)
+    return calls
+
+
+def test_certify_and_equivalence_share_one_sieve_entry(fresh_masks, folds):
     s = parse_polygonal_sum("3*p5 + 7*p8")
     t = parse_polygonal_sum("7*p5 + 3*p8")
     bound = 4321
     certify_universal(s, bound)
-    misses = sum_value_mask.cache_info().misses
+    folds.clear()
     equivalent_upto(s, t, bound)
-    assert sum_value_mask.cache_info().misses == misses + 1
+    assert folds == [(f, bound) for f in sum_families(t)]
+
+
+def test_equivalent_upto_rejects_a_bound_below_one():
+    p3, p4 = parse_polygonal_sum("p3"), parse_polygonal_sum("p4")
+    for bound in (0, -1, -2):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            equivalent_upto(p3, p4, bound)
+    assert equivalent_upto(p3, p4, 1) == (True, None)
 
 
 # A term drawn as coeff * x(g*a*x + g*b)/2: g > 1 rescales the shape without
@@ -279,14 +308,18 @@ def test_prefix_fold_matches_brute_force(spellings, bound):
     assert certify_universal(t, bound).missing == expected
 
 
-def test_sums_sharing_a_sorted_prefix_share_its_folds():
+def test_sums_sharing_a_sorted_prefix_share_its_folds(fresh_masks, folds):
+    # p8 + p8 + p8 misses 534 numbers up to the bound, so the second sum
+    # folds its last family onto the stored prefix mask.
     bound = 3217
-    sum_value_mask(parse_polygonal_sum("p3 + p4 + p5 + p8"), bound)
-    misses = _prefix_mask.cache_info().misses
-    sum_value_mask(parse_polygonal_sum("p3 + 2*p4 + p5 + p8"), bound)
-    assert _prefix_mask.cache_info().misses == misses + 1
-    sum_value_mask(parse_polygonal_sum("p8 + p5 + x(4x-2)/2 + p4"), bound)
-    assert _prefix_mask.cache_info().misses == misses + 1
+    sum_value_mask(parse_polygonal_sum("p8 + p8 + p8 + 2*p8"), bound)
+    folds.clear()
+    second = parse_polygonal_sum("p8 + p8 + p8 + 3*p8")
+    sum_value_mask(second, bound)
+    assert folds == [(sum_families(second)[-1], bound)]
+    folds.clear()
+    sum_value_mask(parse_polygonal_sum("x(18x-12)/2 + p8 + x(6x-4)/2 + p8"), bound)
+    assert folds == []
 
 
 def test_families_come_densest_first():
@@ -313,21 +346,35 @@ def test_a_mask_truncated_from_a_wider_bound_matches_a_fresh_fold(
     terms, b1, b2, wide_first
 ):
     # Whichever bound is asked first, the other is then answered from it
-    # or widens it; both must equal a fold that never stops early.
+    # or widens it; both must equal a fold that never stops early, and the
+    # store keeps only the masks at the wider bound.
     s = PolygonalSum(tuple(terms))
     families = sum_families(s)
     low, high = sorted((b1, b2))
-    for bound in (high, low) if wide_first else (low, high):
-        assert _prefix_mask(families, bound) == bitmask_sumset(s, bound)
+    with pytest.MonkeyPatch.context() as patch:
+        masks = {}
+        patch.setattr(polygonal, "_masks", masks)
+        for bound in (high, low) if wide_first else (low, high):
+            assert _prefix_mask(families, bound) == bitmask_sumset(s, bound)
+        assert {b for b, _ in masks.values()} == {high}
+        if families in masks:
+            assert masks[families][0] == high
+        else:  # a universal prefix: the sum's mask is the prefix's, not stored
+            assert _prefix_mask(families[:-1], high) == (1 << (high + 1)) - 1
 
 
-def test_a_truncated_universal_prefix_is_still_shared_by_object():
+def test_a_truncated_universal_prefix_is_still_shared_by_object(fresh_masks, folds):
     wide, bound = 2027, 1031
     gauss = sum_families(parse_polygonal_sum("p3 + p3 + p3"))
     assert _prefix_mask(gauss, wide) == (1 << (wide + 1)) - 1
-    prefix = _prefix_mask(gauss, bound)
-    assert prefix == (1 << (bound + 1)) - 1
-    assert sum_value_mask(parse_polygonal_sum("p3 + p3 + p3 + p4"), bound) is prefix
+    stored = fresh_masks[gauss]
+    folds.clear()
+    assert _prefix_mask(gauss, bound) == (1 << (bound + 1)) - 1
+    extended = parse_polygonal_sum("p3 + p3 + p3 + p4")
+    assert sum_value_mask(extended, bound) == (1 << (bound + 1)) - 1
+    assert folds == []
+    assert fresh_masks[gauss] is stored and stored[0] == wide
+    assert sum_families(extended) not in fresh_masks
 
 
 # Ternary prefixes: three universal ones, whose last fold ends in a full
@@ -377,17 +424,38 @@ def test_the_last_fold_stops_once_no_gap_is_left_above_the_next_value(monkeypatc
     bound = 100_000
     prefix = _prefix_mask(families[:-1], bound)
     assert prefix != (1 << (bound + 1)) - 1
+    monkeypatch.setattr(polygonal, "_masks", {families[:-1]: (bound, prefix)})
     read.clear()
-    assert _prefix_mask.__wrapped__(families, bound) == (1 << (bound + 1)) - 1
+    assert _prefix_mask(families, bound) == (1 << (bound + 1)) - 1
     squares = values_upto(term_from_polygonal(1, 4), bound)
     assert 0 < len(read) < len(squares) / 4
 
 
-def test_universal_prefix_is_shared_by_object():
+def test_universal_prefix_is_shared_by_object(fresh_masks):
     bound = 1009
     gauss = sum_value_mask(parse_polygonal_sum("p3 + p3 + p3"), bound)
     assert gauss == (1 << (bound + 1)) - 1
     assert sum_value_mask(parse_polygonal_sum("p3 + p3 + p3 + p4"), bound) is gauss
+
+
+def test_the_mask_store_drops_its_oldest_entry_past_the_cap(fresh_masks, monkeypatch):
+    monkeypatch.setattr(polygonal, "_MAX_MASKS", 4)
+    coeffs = [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2),
+              (3, 1, 1, 1), (1, 3, 1, 1), (1, 1, 3, 1), (1, 1, 1, 3), (2, 2, 2, 2)]
+    sums = [
+        PolygonalSum(tuple(term_from_polygonal(c, m) for c, m in zip(cs, (5, 3, 8, 4))))
+        for cs in coeffs
+    ]
+    assert len({sum_families(s) for s in sums}) == 10
+    bound = 700
+    for _ in range(2):  # the second pass refolds what the cap dropped
+        for s in sums:
+            assert sum_value_mask(s, bound) == bitmask_sumset(s, bound)
+            assert len(fresh_masks) <= 4
+    # The last sum, all coefficients even, has no universal prefix: its four
+    # prefixes are the newest entries, and they pushed out all the others.
+    last = sum_families(sums[-1])
+    assert list(fresh_masks) == [last[:n] for n in range(1, 5)]
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -82,7 +82,7 @@ def test_uncovered_residues_must_vanish():
 
 
 def test_derive_sums_q1(catalog):
-    rec = derive_sums(get_decomposition(catalog, "Q1"), "Q1")
+    rec = derive_sums(get_decomposition(catalog, "Q1"))
     assert sum_families(rec.lhs_sum) == sum_families(
         parse_polygonal_sum("p8 + 2*p8 + 4*p8 + 4*p8")
     )
@@ -95,7 +95,7 @@ def test_derive_sums_q1(catalog):
 
 
 def test_derive_sums_q2(catalog):
-    rec = derive_sums(get_decomposition(catalog, "Q2"), "Q2")
+    rec = derive_sums(get_decomposition(catalog, "Q2"))
     assert sum_families(rec.lhs_sum) == sum_families(
         parse_polygonal_sum("2*p5 + 4*p5 + p8 + p8")
     )
@@ -112,8 +112,8 @@ def test_derive_sums_ignores_multipliers(catalog):
     scaled_terms = tuple(
         ProductTerm(t.multiplier * 3, t.shift, t.atoms) for t in q2.rhs
     )
-    rec1 = derive_sums(q2, "Q2")
-    rec2 = derive_sums(Decomposition(q2.lhs, q2.modulus, scaled_terms), "Q2-scaled")
+    rec1 = derive_sums(q2)
+    rec2 = derive_sums(Decomposition(q2.lhs, q2.modulus, scaled_terms))
     assert [sum_families(s) for s in rec1.rhs_sums] == [
         sum_families(s) for s in rec2.rhs_sums
     ]
@@ -121,7 +121,7 @@ def test_derive_sums_ignores_multipliers(catalog):
 
 def test_transfer_propagates_with_base(catalog):
     # No base set is taken any more: the lhs is always certified directly.
-    rec = derive_sums(get_decomposition(catalog, "Q1"), "Q1")
+    rec = derive_sums(get_decomposition(catalog, "Q1"))
     with pytest.raises(TypeError):
         transfer_universality(rec, base=(rec.lhs_sum,), bound=50000)
     outcome = transfer_universality(rec, bound=50000)
@@ -133,19 +133,18 @@ def test_transfer_propagates_with_base(catalog):
 
 
 def test_transfer_direct_certification_without_base(catalog):
-    rec = derive_sums(get_decomposition(catalog, "Q1"), "Q1")
+    rec = derive_sums(get_decomposition(catalog, "Q1"))
     outcome = transfer_universality(rec, bound=20000)
     assert outcome.status == "propagated"
 
 
 def test_transfer_refuses_non_universal_lhs(catalog):
-    rec = derive_sums(get_decomposition(catalog, "Q1"), "Q1")
+    rec = derive_sums(get_decomposition(catalog, "Q1"))
     fake = type(rec)(
         lhs_sum=parse_polygonal_sum("2*p4 + 2*p4 + 2*p4 + 2*p4"),
         rhs_sums=rec.rhs_sums,
         shifts=rec.shifts,
         modulus=rec.modulus,
-        source="fake",
     )
     outcome = transfer_universality(fake, bound=2000)
     assert outcome.status == "refused"
@@ -153,13 +152,12 @@ def test_transfer_refuses_non_universal_lhs(catalog):
 
 
 def test_transfer_reports_inconsistency(catalog):
-    rec = derive_sums(get_decomposition(catalog, "Q1"), "Q1")
+    rec = derive_sums(get_decomposition(catalog, "Q1"))
     fake = type(rec)(
         lhs_sum=rec.lhs_sum,
         rhs_sums=(parse_polygonal_sum("2*p4 + 2*p4 + 2*p4 + 2*p4"),),
         shifts=(0,),
         modulus=rec.modulus,
-        source="fake",
     )
     outcome = transfer_universality(fake, bound=2000)
     assert outcome.status == "inconsistent"
@@ -199,7 +197,7 @@ def test_three_atom_products_use_the_same_machinery():
     d = Decomposition(lhs, 2, rhs)
     out = verify_decomposition(d, 400)
     assert out.ok, out.detail
-    rec = derive_sums(d, "ternary")
+    rec = derive_sums(d)
     assert sum_families(rec.lhs_sum) == sum_families(
         parse_polygonal_sum("3*p4 + p8 + 2*p8")
     )
