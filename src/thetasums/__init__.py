@@ -15,9 +15,7 @@ from .polygonal import (
     UniversalityVerdict,
     certify_universal,
     equivalent_upto,
-    polygonal_value,
     representation_series,
-    rescale_equivalence,
     term_from_polygonal,
 )
 from .series import Series
@@ -33,9 +31,7 @@ from .theta import (
 )
 from .transfer import (
     Decomposition,
-    TransferRecord,
     derive_sums,
-    transfer_universality,
     verify_decomposition,
 )
 
@@ -49,7 +45,6 @@ __all__ = [
     "Series",
     "ThetaAtom",
     "ThetaExpression",
-    "TransferRecord",
     "UniversalityVerdict",
     "atom_series",
     "canonicalize",
@@ -58,11 +53,8 @@ __all__ = [
     "dissect",
     "equivalent_upto",
     "expression_series",
-    "polygonal_value",
     "product_split",
     "representation_series",
-    "rescale_equivalence",
     "term_from_polygonal",
-    "transfer_universality",
     "verify_decomposition",
 ]

@@ -33,7 +33,10 @@ same order (transfer.derive_decomposition).  That check runs only for the
 lemmas a derivation uses.  Only when no derivation exists does the row
 multiply out the series (transfer.verify_decomposition), which also
 supplies the failure witness; either way a passing row reads 'verified to
-order N'.  Nothing is checked at load time.
+order N'.  The row then certifies the sums read off the atoms
+(transfer.derive_sums): the lhs sum up to the bound and, only once it
+passes, each rhs sum up to the largest m with k*m + shift <= bound.
+Nothing is checked at load time.
 """
 
 from __future__ import annotations
@@ -55,11 +58,9 @@ from .polygonal import (
 from .theta import ThetaExpression
 from .transfer import (
     Decomposition,
-    TransferRecord,
     VerifyOutcome,
     derive_decomposition,
     derive_sums,
-    transfer_universality,
     verify_decomposition,
     verify_identity,
 )
@@ -235,26 +236,15 @@ def default_catalog_dir():
 
 def load_catalog(path: str | Path | None = None) -> Catalog:
     """Load a catalog from a file, a directory of *.cat files, or, with no
-    path, the packaged data directory."""
-    entries: list[CatalogEntry] = []
-    if path is None:
-        root = default_catalog_dir()
-        names = sorted(r.name for r in root.iterdir() if r.name.endswith(".cat"))
-        for name in names:
-            entries.extend(
-                parse_catalog_text((root / name).read_text(), name)
-            )
-        return Catalog(entries)
-    path = Path(path)
-    if path.is_dir():
-        files = sorted(path.glob("*.cat"))
+    path, the packaged data directory; a directory's files load by name."""
+    root = default_catalog_dir() if path is None else Path(path)
+    files = [root]
+    if root.is_dir():
+        files = [f for f in root.iterdir() if f.name.endswith(".cat")]
         if not files:
-            raise CatalogError(f"{path}: no *.cat files in this directory")
-        for file in files:
-            entries.extend(parse_catalog_text(file.read_text(), file.name))
-    else:
-        entries.extend(parse_catalog_text(path.read_text(), path.name))
-    return Catalog(entries)
+            raise CatalogError(f"{root}: no *.cat files in this directory")
+    files.sort(key=lambda f: f.name)
+    return Catalog([e for f in files for e in parse_catalog_text(f.read_text(), f.name)])
 
 
 # -- per-entry checks ----------------------------------------------------------
@@ -286,10 +276,12 @@ def _lemmas(catalog: Catalog) -> tuple:
     )
 
 
-def _match_claims(rec: TransferRecord, claims: tuple[PolygonalSum, ...]) -> str | None:
-    if len(claims) != len(rec.rhs_sums):
-        return f"{len(claims)} claims for {len(rec.rhs_sums)} residue terms"
-    for idx, (claim, derived) in enumerate(zip(claims, rec.rhs_sums), start=1):
+def _match_claims(
+    rhs_sums: tuple[PolygonalSum, ...], claims: tuple[PolygonalSum, ...]
+) -> str | None:
+    if len(claims) != len(rhs_sums):
+        return f"{len(claims)} claims for {len(rhs_sums)} residue terms"
+    for idx, (claim, derived) in enumerate(zip(claims, rhs_sums), start=1):
         if sum_families(claim) != sum_families(derived):
             return (
                 f"claim {idx} is {sum_label(claim)} but the atoms give "
@@ -328,30 +320,33 @@ def _check_decomposition(
     outcome = _verified_decomposition(d, order, _lemmas(catalog))
     if not outcome.ok:
         return Row(entry.key, entry.kind, "fail", outcome.detail)
-    rec = derive_sums(d)
-    transfer = transfer_universality(rec, bound)
+    lhs_sum, rhs_sums = derive_sums(d)
+    lhs_verdict = certify_universal(lhs_sum, bound)
+    # Only a certified lhs transfers: each rhs sum is certified up to the
+    # largest m with k*m + shift <= bound.
+    rhs_problems = []
+    if lhs_verdict.universal:
+        for t, s in zip(d.rhs, rhs_sums):
+            derived = max(1, (bound - t.shift) // d.modulus)
+            verdict = certify_universal(s, derived)
+            if not verdict.universal:
+                rhs_problems.append(
+                    f"rhs {sum_label(s)} missing {verdict.head(3)} up to {derived}"
+                )
     problems = []
     if entry.claims:
-        mismatch = _match_claims(rec, entry.claims)
+        mismatch = _match_claims(rhs_sums, entry.claims)
         if mismatch:
             problems.append(mismatch)
-    lhs_verdict = transfer.lhs_verdict
     if not lhs_verdict.universal:
-        problems.append(
-            f"lhs sum {sum_label(rec.lhs_sum)} missing {lhs_verdict.head(3)}"
-        )
+        problems.append(f"lhs sum {sum_label(lhs_sum)} missing {lhs_verdict.head(3)}")
     if entry.base is not None:
-        base_verdict = certify_universal(entry.base, bound)
-        if not base_verdict.universal:
+        if not certify_universal(entry.base, bound).universal:
             problems.append(f"base {sum_label(entry.base)} not certified")
-        eq, witness = equivalent_upto(rec.lhs_sum, entry.base, bound)
+        eq, witness = equivalent_upto(lhs_sum, entry.base, bound)
         if not eq:
             problems.append(f"lhs and base value sets differ at {witness}")
-    for s, derived, verdict in transfer.rhs_results:
-        if not verdict.universal:
-            problems.append(
-                f"rhs {sum_label(s)} missing {verdict.head(3)} up to {derived}"
-            )
+    problems += rhs_problems
     if problems:
         return Row(entry.key, entry.kind, "fail", "; ".join(problems))
     return Row(
@@ -441,12 +436,12 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
         outcome = _verified_decomposition(source.decomposition, order, _lemmas(catalog))
         if not outcome.ok:
             return f"deriving identity {parts[0]} failed: {outcome.detail}"
-        rec = derive_sums(source.decomposition)
-        if not 0 <= idx < len(rec.rhs_sums):
+        _lhs_sum, rhs_sums = derive_sums(source.decomposition)
+        if not 0 <= idx < len(rhs_sums):
             return f"via {entry.via!r}: no residue term {idx + 1}"
-        if sum_families(rec.rhs_sums[idx]) != sum_families(entry.target):
+        if sum_families(rhs_sums[idx]) != sum_families(entry.target):
             return (
-                f"via {entry.via!r} derives {sum_label(rec.rhs_sums[idx])}, "
+                f"via {entry.via!r} derives {sum_label(rhs_sums[idx])}, "
                 f"not {sum_label(entry.target)}"
             )
         return None
@@ -521,8 +516,12 @@ def run_catalog(
     """
     selected = catalog.entries
     if kinds is not None:
+        if unknown := [k for k in kinds if k not in FIELDS]:
+            raise CatalogError(f"unknown kind(s): {', '.join(unknown)}")
         selected = [e for e in selected if e.kind in kinds]
     if keys is not None:
+        if unknown := [k for k in keys if k not in catalog.by_key]:
+            raise CatalogError(f"unknown catalog key(s): {', '.join(unknown)}")
         wanted = set(keys)
         selected = [e for e in selected if e.key in wanted]
     selected = sorted(selected, key=lambda e: (e.kind == "decomposition", e.key))

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 from .polygonal import PolygonalSum, QuadTerm
 from .theta import ProductTerm, ThetaAtom, ThetaExpression
 
+# Named atom shapes: name(q^n) is the atom (n, ratio * n).
+_SHAPES = {"phi": 1, "X": 2, "psi": 3, "Y": 5}
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -139,14 +142,8 @@ class _Parser:
     # -- theta grammar -----------------------------------------------------
 
     def qpow(self) -> int:
-        tok = self.expect("NAME", "q", "q")
-        if self.accept("CARET"):
-            e = self.expect_int("exponent")
-        else:
-            e = 1
-        if e < 0:
-            raise ParseError("negative exponent", tok.span)
-        return e
+        self.expect("NAME", "q", "q")
+        return self.expect_int("exponent") if self.accept("CARET") else 1
 
     def atom(self) -> ThetaAtom:
         tok = self.current
@@ -163,15 +160,14 @@ class _Parser:
             if i + j < 1:
                 raise ParseError("atom f(1, 1) has no series", tok.span)
             return ThetaAtom(i, j)
-        if name in ("phi", "psi", "X", "Y"):
+        if name in _SHAPES:
             self.pos += 1
             self.expect("LPAREN", "'('")
             n = self.qpow()
             self.expect("RPAREN", "')'")
             if n < 1:
                 raise ParseError(f"{name} needs a positive power of q", tok.span)
-            factor = {"phi": 1, "psi": 3, "X": 2, "Y": 5}[name]
-            return ThetaAtom(n, factor * n)
+            return ThetaAtom(n, _SHAPES[name] * n)
         raise ParseError(f"unknown atom name {name!r}", tok.span)
 
     def theta_term(self) -> ProductTerm:
@@ -183,15 +179,8 @@ class _Parser:
             if multiplier < 1:
                 raise ParseError("multiplier must be >= 1", tok.span)
             self.expect("STAR", "'*' after multiplier")
-        if self.current.kind == "NAME" and self.current.text == "q":
-            shift_tok = self.current
-            self.pos += 1
-            if self.accept("CARET"):
-                shift = self.expect_int("shift exponent")
-            else:
-                shift = 1
-            if shift < 0:
-                raise ParseError("negative shift", shift_tok.span)
+        if self.accept("NAME", "q"):
+            shift = self.expect_int("shift exponent") if self.accept("CARET") else 1
             self.expect("STAR", "'*' after q-power prefactor")
         atoms: list[ThetaAtom] = []
         while True:
@@ -297,7 +286,7 @@ def parse_chain(text: str) -> list[PolygonalSum]:
 
 # -- serialization ------------------------------------------------------------
 
-_NAMED = {1: "phi", 2: "X", 3: "psi", 5: "Y"}
+_NAMED = {ratio: name for name, ratio in _SHAPES.items()}
 
 
 def _qpow_text(e: int) -> str:

@@ -122,13 +122,6 @@ class UniversalityVerdict:
         return tuple(_mask_bits(self.gaps))
 
 
-def polygonal_value(m: int, x: int) -> int:
-    """The generalized m-gonal number ((m-2)x^2 - (m-4)x)/2."""
-    if m < 3:
-        raise ValueError("polygonal order must be >= 3")
-    return ((m - 2) * x * x - (m - 4) * x) // 2
-
-
 def term_from_polygonal(coeff: int, m: int) -> QuadTerm:
     """coeff * p_m as a QuadTerm (a = m-2, b normalized from -(m-4))."""
     if m < 3:
@@ -233,19 +226,6 @@ def equivalent_upto(
     return False, (diff & -diff).bit_length() - 1
 
 
-def rescale_equivalence(a: int, b: int) -> tuple[PolygonalSum, PolygonalSum]:
-    """The rescaling pair h(ah+b) + l(al+a-b)  ~  a*p3(h) + l(al+a-2b)/2.
-
-    Valid for a >= 1 and 0 <= b <= a/2; both sides are returned as
-    PolygonalSums for downstream equivalence checking.
-    """
-    if a < 1 or b < 0 or 2 * b > a:
-        raise ValueError("need a >= 1 and 0 <= b <= a/2")
-    lhs = PolygonalSum((QuadTerm(1, 2 * a, 2 * b), QuadTerm(1, 2 * a, 2 * (a - b))))
-    rhs = PolygonalSum((term_from_polygonal(a, 3), QuadTerm(1, a, a - 2 * b)))
-    return lhs, rhs
-
-
 def reduce_term(term: QuadTerm) -> QuadTerm:
     """Extract the largest integer content from (a, b), keeping parity.
 
@@ -253,14 +233,12 @@ def reduce_term(term: QuadTerm) -> QuadTerm:
     A' = a/g, B' = b/g equals c*x(ax+b)/2 for every x.
     """
     c, a, b = term.coeff, term.a, term.b
-    if b == 0:
-        # c*(a/2)*x^2; a is even by the parity invariant.
-        return QuadTerm(c * a // 2, 2, 0)
-    g0 = gcd(a, -b)
-    for g in range(g0, 0, -1):
-        if g0 % g == 0 and ((a // g) - (b // g)) % 2 == 0:
-            return QuadTerm(c * g, a // g, b // g)
-    return term  # unreachable: g == 1 always satisfies the parity test
+    g = gcd(a, b)
+    # No divisor of g lies strictly between g/2 and g, and a - b is even,
+    # so when a/g - b/g is odd, g is even and g/2 is the largest that works.
+    if (a // g - b // g) % 2:
+        g //= 2
+    return QuadTerm(c * g, a // g, b // g)
 
 
 def family_key(term: QuadTerm) -> tuple[int, int, int]:

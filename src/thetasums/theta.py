@@ -48,22 +48,6 @@ class ThetaAtom:
         if self.i + self.j < 1:
             raise ThetaError("atom (0, 0) is not a theta function")
 
-    @classmethod
-    def phi(cls, n: int = 1) -> ThetaAtom:
-        return cls(n, n)
-
-    @classmethod
-    def psi(cls, n: int = 1) -> ThetaAtom:
-        return cls(n, 3 * n)
-
-    @classmethod
-    def x(cls, n: int = 1) -> ThetaAtom:
-        return cls(n, 2 * n)
-
-    @classmethod
-    def y(cls, n: int = 1) -> ThetaAtom:
-        return cls(n, 5 * n)
-
     @property
     def is_canonical(self) -> bool:
         return 1 <= self.i <= self.j

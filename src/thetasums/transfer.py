@@ -1,11 +1,13 @@
-"""Verified k-dissections of theta products and universality transfer.
+"""Verified k-dissections of theta products and the sums read off them.
 
 A Decomposition rewrites a product of three or four atoms as a sum of
 residue-class terms: term r carries shift r-1 and atoms whose exponents
 are all multiples of the modulus k.  Once the series identity is checked,
-each side maps mechanically to a polygonal sum (atom (i, j) becomes the
-family x((i+j)x + i-j)/2, with the factor k divided out on the right), and
-universality propagates both ways along the exponent map e = k*m + (r-1).
+each side maps mechanically to a polygonal sum (derive_sums: atom (i, j)
+becomes the family x((i+j)x + i-j)/2, with the factor k divided out on the
+right), and universality propagates along the exponent map e = k*m + (r-1):
+the catalog certifies the lhs sum up to its bound and then each rhs sum up
+to the largest m with k*m + (r-1) <= bound.
 
 A decomposition is checked the way the paper proves it: derive_decomposition
 rewrites the lhs with identity lemmas applied under q -> q^n until it equals
@@ -24,12 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .polygonal import (
-    PolygonalSum,
-    QuadTerm,
-    UniversalityVerdict,
-    certify_universal,
-)
+from .polygonal import PolygonalSum, QuadTerm
 from .theta import (
     ProductTerm,
     ThetaAtom,
@@ -86,16 +83,6 @@ class Decomposition:
 
 
 @dataclass(frozen=True)
-class TransferRecord:
-    """Polygonal sums read off a decomposition: one per side/residue term."""
-
-    lhs_sum: PolygonalSum
-    rhs_sums: tuple[PolygonalSum, ...]
-    shifts: tuple[int, ...]
-    modulus: int
-
-
-@dataclass(frozen=True)
 class VerifyOutcome:
     """A series check; a failure at an exponent keeps both coefficients there."""
 
@@ -104,21 +91,6 @@ class VerifyOutcome:
     detail: str = ""
     left: int | None = None
     right: int | None = None
-
-
-@dataclass(frozen=True)
-class TransferOutcome:
-    """Result of propagating universality through one record.
-
-    status is 'propagated' when the lhs certification carries over to every
-    rhs sum, 'refused' when the lhs itself is not certified, and
-    'inconsistent' when the lhs passed but some rhs failed (which would
-    falsify the decomposition or the bound).
-    """
-
-    status: str
-    lhs_verdict: UniversalityVerdict
-    rhs_results: tuple[tuple[PolygonalSum, int, UniversalityVerdict], ...]
 
 
 @lru_cache(maxsize=256)
@@ -245,46 +217,14 @@ def derive_decomposition(
     return None
 
 
-def derive_sums(d: Decomposition) -> TransferRecord:
-    """Read the polygonal sums off the atoms; multipliers play no role."""
-    k = d.modulus
-    lhs_sum = PolygonalSum(
-        tuple(QuadTerm(1, a.i + a.j, a.i - a.j) for a in d.lhs.atoms)
-    )
-    rhs_sums = []
-    shifts = []
-    for t in d.rhs:
-        rhs_sums.append(
-            PolygonalSum(
-                tuple(
-                    QuadTerm(1, (a.i + a.j) // k, (a.i - a.j) // k) for a in t.atoms
-                )
-            )
-        )
-        shifts.append(t.shift)
-    return TransferRecord(lhs_sum, tuple(rhs_sums), tuple(shifts), k)
+def derive_sums(d: Decomposition) -> tuple[PolygonalSum, tuple[PolygonalSum, ...]]:
+    """The lhs sum and one sum per rhs term, read off the atoms.
 
-
-def rhs_bound(lhs_bound: int, shift: int, modulus: int) -> int:
-    """Largest m with modulus*m + shift <= lhs_bound."""
-    return (lhs_bound - shift) // modulus
-
-
-def transfer_universality(rec: TransferRecord, bound: int = 50000) -> TransferOutcome:
-    """Propagate a certified lhs to every rhs sum and cross-check.
-
-    The lhs is certified up to bound; every rhs sum is then certified up to
-    its derived bound.
+    Multipliers play no role; rhs atom exponents are divided by the modulus.
     """
-    lhs_verdict = certify_universal(rec.lhs_sum, bound)
-    rhs_results = []
-    if not lhs_verdict.universal:
-        return TransferOutcome("refused", lhs_verdict, ())
-    all_ok = True
-    for s, shift in zip(rec.rhs_sums, rec.shifts):
-        derived = max(1, rhs_bound(bound, shift, rec.modulus))
-        verdict = certify_universal(s, derived)
-        rhs_results.append((s, derived, verdict))
-        all_ok = all_ok and verdict.universal
-    status = "propagated" if all_ok else "inconsistent"
-    return TransferOutcome(status, lhs_verdict, tuple(rhs_results))
+
+    def read(atoms, k):
+        terms = (QuadTerm(1, (a.i + a.j) // k, (a.i - a.j) // k) for a in atoms)
+        return PolygonalSum(tuple(terms))
+
+    return read(d.lhs.atoms, 1), tuple(read(t.atoms, d.modulus) for t in d.rhs)

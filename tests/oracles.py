@@ -7,7 +7,9 @@ in the package are checked against a second, dumber route.
 
 from __future__ import annotations
 
-from thetasums.polygonal import PolygonalSum
+from math import gcd
+
+from thetasums.polygonal import PolygonalSum, QuadTerm
 from thetasums.series import Series
 
 
@@ -20,6 +22,21 @@ def schoolbook_mul(a: Series, b: Series) -> Series:
         for j in range(order - i):
             out[i + j] += ai * b[j]
     return Series(out, order)
+
+
+def reduce_term_by_divisors(term: QuadTerm) -> QuadTerm:
+    """Largest content g of (a, b) that keeps a/g and b/g of equal parity.
+
+    Tries every g from gcd(a, b) down to 1.
+    """
+    c, a, b = term.coeff, term.a, term.b
+    if b == 0:
+        return QuadTerm(c * a // 2, 2, 0)
+    g0 = gcd(a, -b)
+    for g in range(g0, 0, -1):
+        if g0 % g == 0 and ((a // g) - (b // g)) % 2 == 0:
+            return QuadTerm(c * g, a // g, b // g)
+    raise AssertionError("g = 1 always keeps the parity")
 
 
 def term_values_sorted(term, bound: int, with_multiplicity: bool) -> list[int]:

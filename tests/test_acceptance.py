@@ -16,7 +16,6 @@ from thetasums.polygonal import (
     certify_universal,
     equivalent_upto,
     representation_series,
-    rescale_equivalence,
     term_from_polygonal,
 )
 from thetasums.theta import (
@@ -27,12 +26,7 @@ from thetasums.theta import (
     dissect,
     expression_series,
 )
-from thetasums.transfer import (
-    Decomposition,
-    derive_sums,
-    rhs_bound,
-    verify_decomposition,
-)
+from thetasums.transfer import Decomposition, derive_sums, verify_decomposition
 
 from oracles import brute_missing
 
@@ -141,13 +135,11 @@ def test_criterion_4_base_facts(catalog):
 def test_criterion_5_equivalence_suite(catalog):
     failures = []
     checks = 0
-    for a, b in ((1, 0), (2, 1), (3, 1)):
-        lhs, rhs = rescale_equivalence(a, b)
-        ok, witness = equivalent_upto(lhs, rhs, BOUND)
-        checks += 1
-        if not ok:
-            failures.append((f"rescale({a},{b})", witness))
-    for key in ("eq-2.27", "eq-2.28", "eq-2.29", "eq-2.31", "eq-2.32", "eq-2.33"):
+    # eq-2.26-i1..i3 are the rescaling instances (a, b) = (1, 0), (2, 1), (3, 1).
+    for key in (
+        "eq-2.26-i1", "eq-2.26-i2", "eq-2.26-i3",
+        "eq-2.27", "eq-2.28", "eq-2.29", "eq-2.31", "eq-2.32", "eq-2.33",
+    ):
         chain = catalog.by_key[key].chain
         ok, witness = equivalent_upto(chain[0], chain[1], BOUND)
         checks += 1
@@ -176,13 +168,14 @@ def test_criterion_6_transfer_consistency(catalog):
         if not outcome.ok:
             failures.append((entry.key, outcome.detail))
             continue
-        rec = derive_sums(d)
+        lhs_sum, rhs_sums = derive_sums(d)
         n = 10000
         lhs_bound = d.modulus * n + d.modulus - 1
-        lhs_ok = certify_universal(rec.lhs_sum, lhs_bound).universal
+        lhs_ok = certify_universal(lhs_sum, lhs_bound).universal
+        # Term r is certified up to the largest m with k*m + shift <= lhs_bound.
         rhs_ok = all(
-            certify_universal(s, rhs_bound(lhs_bound, shift, d.modulus)).universal
-            for s, shift in zip(rec.rhs_sums, rec.shifts)
+            certify_universal(s, (lhs_bound - t.shift) // d.modulus).universal
+            for t, s in zip(d.rhs, rhs_sums)
         )
         if lhs_ok != rhs_ok or not lhs_ok:
             failures.append((entry.key, f"lhs={lhs_ok} rhs={rhs_ok}"))

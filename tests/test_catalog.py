@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from thetasums import catalog as catalog_module
@@ -6,6 +8,7 @@ from thetasums.catalog import (
     Catalog,
     CatalogError,
     default_catalog_dir,
+    load_catalog,
     parse_catalog_text,
     run_catalog,
 )
@@ -108,11 +111,46 @@ def test_malformed_via_fails_at_load(via):
         parse_catalog_text(text + via)
 
 
+DATA = Path(catalog_module.__file__).with_name("data")
+# Per packaged file: entry count, first key and last key.
+DATA_FILES = {
+    "base_facts.cat": (13, "base-sun-1-1-2-4", "base-juoh-1-2-3-9"),
+    "decompositions.cat": (42, "Q1", "QX22"),
+    "equivalences.cat": (14, "eq-2.8.2", "pf-qx19-base"),
+    "identities.cat": (13, "eq-2.12", "eq-2.25"),
+    "section1.cat": (160, "sec1-01-01", "sec1-24-03"),
+    "theorem31.cat": (66, "thm3.1-01", "thm3.1-66"),
+    "theorem32.cat": (13, "thm3.2-01", "thm3.2-13"),
+    "theorem33.cat": (16, "thm3.3-01", "thm3.3-16"),
+    "theorem34.cat": (26, "thm3.4-chain-01", "thm3.4-chain-26"),
+}
+
+
+def test_the_package_a_directory_and_its_files_load_the_same_keys():
+    keys = [e.key for e in load_catalog().entries]
+    assert [e.key for e in load_catalog(DATA).entries] == keys
+    assert [e.key for e in load_catalog(str(DATA)).entries] == keys
+    per_file = {
+        f.name: [e.key for e in load_catalog(f).entries]
+        for f in sorted(DATA.glob("*.cat"))
+    }
+    assert {name: (len(k), k[0], k[-1]) for name, k in per_file.items()} == DATA_FILES
+    assert sum(per_file.values(), []) == keys
+
+
+def test_a_directory_without_catalog_files_is_an_error(tmp_path):
+    (tmp_path / "notes.txt").write_text("[x] kind: base-fact\nsum: p3\n")
+    with pytest.raises(CatalogError, match="no \\*.cat files"):
+        load_catalog(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        load_catalog(tmp_path / "missing.cat")
+
+
 def test_every_claim_matches_derived_sums(catalog):
     for entry in catalog.of_kind("decomposition"):
-        rec = derive_sums(entry.decomposition)
-        assert len(entry.claims) == len(rec.rhs_sums), entry.key
-        for claim, derived in zip(entry.claims, rec.rhs_sums):
+        _lhs_sum, rhs_sums = derive_sums(entry.decomposition)
+        assert len(entry.claims) == len(rhs_sums), entry.key
+        for claim, derived in zip(entry.claims, rhs_sums):
             assert sum_families(claim) == sum_families(derived), entry.key
 
 
@@ -126,13 +164,11 @@ def test_every_via_resolves(catalog):
 def test_duplicate_derivations_are_both_kept(catalog):
     # The same sum is claimed from two different decompositions; the catalog
     # keeps both derivations rather than merging them.
-    q11 = derive_sums(catalog.by_key["Q11"].decomposition)
-    q18 = derive_sums(catalog.by_key["Q18"].decomposition)
-    assert sum_families(q11.rhs_sums[3]) == sum_families(q18.rhs_sums[2])
+    def rhs_sums(key):
+        return derive_sums(catalog.by_key[key].decomposition)[1]
 
-    q17 = derive_sums(catalog.by_key["Q17"].decomposition)
-    qx13 = derive_sums(catalog.by_key["QX13"].decomposition)
-    assert sum_families(q17.rhs_sums[3]) == sum_families(qx13.rhs_sums[2])
+    assert sum_families(rhs_sums("Q11")[3]) == sum_families(rhs_sums("Q18")[2])
+    assert sum_families(rhs_sums("Q17")[3]) == sum_families(rhs_sums("QX13")[2])
 
 
 def test_run_catalog_full_small(catalog):
@@ -146,6 +182,20 @@ def test_run_catalog_kind_filter(catalog):
     report = run_catalog(catalog, order=64, bound=600, kinds=("equivalence",))
     assert len(report.rows) == 40
     assert all(r.kind == "equivalence" for r in report.rows)
+
+
+@pytest.mark.parametrize(
+    "selection, unknown",
+    [
+        ({"keys": ["Q1", "no-such-key"]}, "no-such-key"),
+        ({"kinds": ("identiy",)}, "identiy"),
+    ],
+    ids=["key", "kind"],
+)
+def test_run_catalog_rejects_an_unknown_key_or_kind(catalog, selection, unknown):
+    # Selecting nothing by a typo would otherwise pass with zero rows.
+    with pytest.raises(CatalogError, match=unknown):
+        run_catalog(catalog, order=64, bound=100, **selection)
 
 
 def test_run_catalog_insufficient_order(catalog):

@@ -15,25 +15,33 @@ from thetasums.polygonal import (
     certify_universal,
     equivalent_upto,
     family_key,
-    polygonal_value,
+    reduce_term,
     representation_series,
-    rescale_equivalence,
     sum_families,
     sum_label,
     sum_value_mask,
     term_from_polygonal,
 )
 
-from oracles import bitmask_sumset, brute_counts, brute_missing
+from oracles import bitmask_sumset, brute_counts, brute_missing, reduce_term_by_divisors
 
 
 def test_polygonal_value():
-    assert polygonal_value(3, 4) == 10
-    assert polygonal_value(5, -2) == 7
-    assert polygonal_value(8, -1) == 5
-    assert polygonal_value(4, 7) == 49
-    with pytest.raises(ValueError):
-        polygonal_value(2, 1)
+    # term_from_polygonal(1, m) takes the generalized m-gonal numbers
+    # ((m-2)x^2 - (m-4)x)/2 as its values.  Pointwise they agree up to
+    # x <-> -x: for m = 3 the term's b is normalized from +1 to -1.
+    def p(m, x):
+        return ((m - 2) * x * x - (m - 4) * x) // 2
+
+    xs = range(-9, 10)
+    for m in range(3, 12):
+        term = term_from_polygonal(1, m)
+        assert all(term.value(x) in (p(m, x), p(m, -x)) for x in xs)
+        assert sorted(map(term.value, xs)) == sorted(p(m, x) for x in xs)
+    assert term_from_polygonal(1, 3).value(-4) == p(3, 4) == 10
+    assert term_from_polygonal(1, 5).value(-2) == 7
+    assert term_from_polygonal(1, 8).value(-1) == 5
+    assert term_from_polygonal(1, 4).value(7) == 49
 
 
 def test_term_from_polygonal_value_sets():
@@ -210,21 +218,37 @@ def test_equivalence_is_an_equivalence_relation():
                     assert equivalent_upto(a, c, bound)[0]
 
 
-def test_rescale_equivalence():
-    lhs, rhs = rescale_equivalence(1, 0)
-    assert equivalent_upto(lhs, rhs, 10000) == (True, None)
+def test_rescale_equivalence(catalog):
+    # (2.26): h(ah+b) + l(al+a-b) ~ a*p3(h) + l(al+a-2b)/2 for a >= 1 and
+    # 0 <= b <= a/2; the catalog rows eq-2.26-i1..i3 hold its instances.
+    instances = {"eq-2.26-i1": (1, 0), "eq-2.26-i2": (2, 1), "eq-2.26-i3": (3, 1)}
+    for key, (a, b) in instances.items():
+        lhs = PolygonalSum((QuadTerm(1, 2 * a, 2 * b), QuadTerm(1, 2 * a, 2 * (a - b))))
+        rhs = PolygonalSum((term_from_polygonal(a, 3), QuadTerm(1, a, a - 2 * b)))
+        chain = catalog.by_key[key].chain
+        assert [sum_families(s) for s in chain] == [sum_families(lhs), sum_families(rhs)]
+        assert equivalent_upto(lhs, rhs, 10000) == (True, None)
+    for key, text in (("eq-2.26-i2", "p3 + p3"), ("eq-2.26-i3", "2*p5 + p8")):
+        lhs = catalog.by_key[key].chain[0]
+        assert equivalent_upto(lhs, parse_polygonal_sum(text), 10000) == (True, None)
 
-    lhs, rhs = rescale_equivalence(2, 1)
-    assert sum_families(rhs) == sum_families(parse_polygonal_sum("2*p3 + p4"))
-    assert equivalent_upto(lhs, rhs, 10000) == (True, None)
-    assert equivalent_upto(lhs, parse_polygonal_sum("p3 + p3"), 10000) == (True, None)
 
-    lhs, rhs = rescale_equivalence(3, 1)
-    assert sum_families(rhs) == sum_families(parse_polygonal_sum("3*p3 + p5"))
-    assert equivalent_upto(lhs, parse_polygonal_sum("2*p5 + p8"), 10000) == (True, None)
+@st.composite
+def quad_terms(draw):
+    # Every b with |b| <= a and a - b even.
+    a = draw(st.integers(1, 400))
+    b = a - 2 * draw(st.integers(0, a))
+    return QuadTerm(draw(st.integers(1, 5)), a, b)
 
-    with pytest.raises(ValueError):
-        rescale_equivalence(2, 2)
+
+@given(quad_terms())
+@example(QuadTerm(1, 2, 0))
+@example(QuadTerm(3, 12, -4))
+@example(QuadTerm(1, 24, -12))
+def test_reduce_term_matches_the_divisor_search(term):
+    reduced = reduce_term(term)
+    assert reduced == reduce_term_by_divisors(term)
+    assert [reduced.value(x) for x in range(-5, 6)] == [term.value(x) for x in range(-5, 6)]
 
 
 def test_family_key_identifies_scaled_shapes():

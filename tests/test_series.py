@@ -61,7 +61,7 @@ def test_mul_counts_sums_of_two_squares():
             if x * x + y * y < 10:
                 expected[x * x + y * y] += 1
     assert expected == [1, 4, 4, 0, 4, 8, 0, 0, 4, 4]
-    phi = atom_series(ThetaAtom.phi(), 10)
+    phi = atom_series(ThetaAtom(1, 1), 10)
     assert (phi * phi).coeffs == tuple(expected)
 
 

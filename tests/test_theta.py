@@ -27,10 +27,10 @@ def test_atom_validation():
 
 
 def test_named_shapes():
-    assert ThetaAtom.phi() == ThetaAtom(1, 1)
-    assert ThetaAtom.psi(8) == ThetaAtom(8, 24)
-    assert ThetaAtom.x(4) == ThetaAtom(4, 8)
-    assert ThetaAtom.y(12) == ThetaAtom(12, 60)
+    named = ("phi(q)", "psi(q^8)", "X(q^4)", "Y(q^12)")
+    atoms = (ThetaAtom(1, 1), ThetaAtom(8, 24), ThetaAtom(4, 8), ThetaAtom(12, 60))
+    assert parse_theta_expression("*".join(named)).terms[0].atoms == atoms
+    assert tuple(serialize(a) for a in atoms) == named
 
 
 def test_canonicalize_swaps_sorts_and_doubles():
@@ -70,7 +70,7 @@ def test_expression_series_empty_and_singleton():
 def test_expression_series_two_square_dissection():
     expr = parse_theta_expression("phi(q^4) + 2*q*psi(q^8)")
     ok, diff = expression_series(expr, 500).equal_upto(
-        atom_series(ThetaAtom.phi(), 500), 500
+        atom_series(ThetaAtom(1, 1), 500), 500
     )
     assert ok, diff
 

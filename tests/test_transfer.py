@@ -1,8 +1,9 @@
 import pytest
 
-from thetasums.catalog import _lemmas, run_catalog
+from thetasums import catalog as catalog_module
+from thetasums.catalog import Catalog, _lemmas, parse_catalog_text, run_catalog
 from thetasums.dsl import parse_polygonal_sum, parse_theta_expression
-from thetasums.polygonal import certify_universal, sum_families, sum_label
+from thetasums.polygonal import certify_universal, sum_families
 from thetasums.theta import ProductTerm, ThetaAtom
 from thetasums.transfer import (
     MAX_PROOF_STEPS,
@@ -10,8 +11,6 @@ from thetasums.transfer import (
     DecompositionError,
     derive_decomposition,
     derive_sums,
-    rhs_bound,
-    transfer_universality,
     verify_decomposition,
 )
 
@@ -82,27 +81,27 @@ def test_uncovered_residues_must_vanish():
 
 
 def test_derive_sums_q1(catalog):
-    rec = derive_sums(get_decomposition(catalog, "Q1"))
-    assert sum_families(rec.lhs_sum) == sum_families(
+    lhs_sum, rhs_sums = derive_sums(get_decomposition(catalog, "Q1"))
+    assert sum_families(lhs_sum) == sum_families(
         parse_polygonal_sum("p8 + 2*p8 + 4*p8 + 4*p8")
     )
-    assert sum_families(rec.rhs_sums[0]) == sum_families(
+    assert sum_families(rhs_sums[0]) == sum_families(
         parse_polygonal_sum("2*p5 + 4*p5 + p8 + p8")
     )
-    assert sum_families(rec.rhs_sums[3]) == sum_families(
+    assert sum_families(rhs_sums[3]) == sum_families(
         parse_polygonal_sum("p8 + p8 + p8 + 2*p8")
     )
 
 
 def test_derive_sums_q2(catalog):
-    rec = derive_sums(get_decomposition(catalog, "Q2"))
-    assert sum_families(rec.lhs_sum) == sum_families(
+    lhs_sum, rhs_sums = derive_sums(get_decomposition(catalog, "Q2"))
+    assert sum_families(lhs_sum) == sum_families(
         parse_polygonal_sum("2*p5 + 4*p5 + p8 + p8")
     )
-    assert sum_families(rec.rhs_sums[0]) == sum_families(
+    assert sum_families(rhs_sums[0]) == sum_families(
         parse_polygonal_sum("3*p4 + p5 + 2*p5 + p8")
     )
-    assert sum_families(rec.rhs_sums[1]) == sum_families(
+    assert sum_families(rhs_sums[1]) == sum_families(
         parse_polygonal_sum("6*p3 + p5 + 2*p5 + 2*p5")
     )
 
@@ -112,55 +111,9 @@ def test_derive_sums_ignores_multipliers(catalog):
     scaled_terms = tuple(
         ProductTerm(t.multiplier * 3, t.shift, t.atoms) for t in q2.rhs
     )
-    rec1 = derive_sums(q2)
-    rec2 = derive_sums(Decomposition(q2.lhs, q2.modulus, scaled_terms))
-    assert [sum_families(s) for s in rec1.rhs_sums] == [
-        sum_families(s) for s in rec2.rhs_sums
-    ]
-
-
-def test_transfer_propagates_with_base(catalog):
-    # No base set is taken any more: the lhs is always certified directly.
-    rec = derive_sums(get_decomposition(catalog, "Q1"))
-    with pytest.raises(TypeError):
-        transfer_universality(rec, base=(rec.lhs_sum,), bound=50000)
-    outcome = transfer_universality(rec, bound=50000)
-    assert outcome.status == "propagated"
-    assert len(outcome.rhs_results) == 4
-    for s, derived, verdict in outcome.rhs_results:
-        assert verdict.universal, sum_label(s)
-        assert verdict.bound == derived
-
-
-def test_transfer_direct_certification_without_base(catalog):
-    rec = derive_sums(get_decomposition(catalog, "Q1"))
-    outcome = transfer_universality(rec, bound=20000)
-    assert outcome.status == "propagated"
-
-
-def test_transfer_refuses_non_universal_lhs(catalog):
-    rec = derive_sums(get_decomposition(catalog, "Q1"))
-    fake = type(rec)(
-        lhs_sum=parse_polygonal_sum("2*p4 + 2*p4 + 2*p4 + 2*p4"),
-        rhs_sums=rec.rhs_sums,
-        shifts=rec.shifts,
-        modulus=rec.modulus,
-    )
-    outcome = transfer_universality(fake, bound=2000)
-    assert outcome.status == "refused"
-    assert outcome.rhs_results == ()
-
-
-def test_transfer_reports_inconsistency(catalog):
-    rec = derive_sums(get_decomposition(catalog, "Q1"))
-    fake = type(rec)(
-        lhs_sum=rec.lhs_sum,
-        rhs_sums=(parse_polygonal_sum("2*p4 + 2*p4 + 2*p4 + 2*p4"),),
-        shifts=(0,),
-        modulus=rec.modulus,
-    )
-    outcome = transfer_universality(fake, bound=2000)
-    assert outcome.status == "inconsistent"
+    sums1 = derive_sums(q2)
+    sums2 = derive_sums(Decomposition(q2.lhs, q2.modulus, scaled_terms))
+    assert [sum_families(s) for s in sums1[1]] == [sum_families(s) for s in sums2[1]]
 
 
 def test_per_residue_identity_mechanism(catalog):
@@ -183,12 +136,6 @@ def test_per_residue_identity_mechanism(catalog):
             assert lhs[e] == t.multiplier * inner[m]
 
 
-def test_rhs_bound():
-    assert rhs_bound(50000, 0, 4) == 12500
-    assert rhs_bound(43, 3, 4) == 10
-    assert rhs_bound(10, 1, 2) == 4
-
-
 def test_three_atom_products_use_the_same_machinery():
     # Ternary products run through the identical code path: multiply the
     # phi(q^3)*Y(q) split by Y(q^2).
@@ -197,19 +144,19 @@ def test_three_atom_products_use_the_same_machinery():
     d = Decomposition(lhs, 2, rhs)
     out = verify_decomposition(d, 400)
     assert out.ok, out.detail
-    rec = derive_sums(d)
-    assert sum_families(rec.lhs_sum) == sum_families(
+    lhs_sum, rhs_sums = derive_sums(d)
+    assert sum_families(lhs_sum) == sum_families(
         parse_polygonal_sum("3*p4 + p8 + 2*p8")
     )
-    assert sum_families(rec.rhs_sums[0]) == sum_families(
+    assert sum_families(rhs_sums[0]) == sum_families(
         parse_polygonal_sum("2*p5 + 2*p5 + p8")
     )
-    assert sum_families(rec.rhs_sums[1]) == sum_families(
+    assert sum_families(rhs_sums[1]) == sum_families(
         parse_polygonal_sum("p8 + p8 + p8")
     )
-    # Three octagonal terms are not universal, so propagation refuses.
-    outcome = transfer_universality(rec, bound=500)
-    assert outcome.status in ("refused", "inconsistent")
+    # Three octagonal terms are not universal, and neither is the lhs sum,
+    # so the row fails (test_transfer_refuses_non_universal_lhs).
+    assert not certify_universal(lhs_sum, 500).universal
 
 
 def test_every_packaged_decomposition_is_derived_from_the_lemmas(catalog):
@@ -253,3 +200,88 @@ def test_like_terms_are_added(catalog):
     assert verify_decomposition(true, 400).ok
     false = Decomposition(lhs, 4, parse_theta_expression(rhs.format(m=2)).terms)
     assert derive_decomposition(false, lemmas) is None
+
+
+# -- transfer rows: the lhs certified to the bound, each rhs sum to its derived bound
+
+Q1_TEXT = (
+    "[Q1] kind: decomposition\nlhs: Y(q)*Y(q^2)*Y(q^4)^2\nmodulus: 4\n"
+    "rhs: X(q^8)*X(q^16)*Y(q^4)^2 + q*X(q^16)*Y(q^4)^3"
+    " + q^2*X(q^8)*Y(q^4)^2*Y(q^8) + q^3*Y(q^4)^3*Y(q^8)\n"
+)
+D3_TEXT = (
+    "[D3] kind: decomposition\nlhs: phi(q^3)*Y(q)*Y(q^2)\nmodulus: 2\n"
+    "rhs: X(q^4)^2*Y(q^2) + q*Y(q^2)^3\nbase: p4+p4+p4+p4\n"
+    "claims: 2*p5+2*p5+p8 | p8+p4+p8\n"
+)
+EVEN = "2*p4 + 2*p4 + 2*p4 + 2*p4"
+
+
+def _row(text, order, bound):
+    catalog = Catalog(parse_catalog_text(text))
+    return run_catalog(catalog, order=order, bound=bound).rows[0]
+
+
+def test_transfer_propagates_with_base(catalog):
+    # The packaged Q1 has a base; lhs, base and all four rhs sums pass.
+    assert catalog.by_key["Q1"].base is not None
+    row = run_catalog(catalog, order=200, bound=50000, keys=["Q1"]).rows[0]
+    assert row.detail == "verified to order 200; transfer certified to bound 50000 (k=4)"
+
+
+def test_transfer_direct_certification_without_base():
+    row = _row(Q1_TEXT, 200, 20000)
+    assert row.detail == "verified to order 200; transfer certified to bound 20000 (k=4)"
+
+
+def test_transfer_refuses_non_universal_lhs():
+    # p8 + p8 + p8 misses values up to 1000, but the lhs fails first, so no
+    # rhs sum is certified and no rhs line is written.
+    row = _row(D3_TEXT, 400, 2000)
+    assert (row.key, row.status) == ("D3", "fail")
+    assert row.detail == (
+        "claim 2 is p4 + p8 + p8 but the atoms give p8 + p8 + p8; "
+        "lhs sum 3*p4 + p8 + 2*p8 missing (9, 25, 39); "
+        "lhs and base value sets differ at 9"
+    )
+
+
+def test_a_base_that_is_not_universal_is_reported():
+    row = _row(Q1_TEXT + f"base: {EVEN}\n", 200, 2000)
+    assert (row.key, row.status) == ("Q1", "fail")
+    assert row.detail == (
+        f"base {EVEN} not certified; lhs and base value sets differ at 1"
+    )
+
+
+def test_transfer_reports_inconsistency(monkeypatch):
+    # Q1's rhs sums are universal, so the second (shift 1) is replaced by a
+    # sum that misses every odd number; it is certified up to
+    # (2000 - 1) // 4 = 499.
+    def with_even_second(d):
+        lhs_sum, rhs_sums = derive_sums(d)
+        return lhs_sum, rhs_sums[:1] + (parse_polygonal_sum(EVEN),) + rhs_sums[2:]
+
+    monkeypatch.setattr(catalog_module, "derive_sums", with_even_second)
+    row = _row(Q1_TEXT, 200, 2000)
+    assert (row.key, row.status) == ("Q1", "fail")
+    assert row.detail == f"rhs {EVEN} missing (1, 3, 5) up to {(2000 - 1) // 4}"
+
+
+def test_rhs_bound(monkeypatch):
+    # A passing row certifies the lhs sum up to the bound, then each rhs
+    # sum up to the largest m with 4*m + shift <= bound, and at least 1.
+    calls = []
+
+    def spy(s, b):
+        calls.append((s, b))
+        return certify_universal(s, b)
+
+    monkeypatch.setattr(catalog_module, "certify_universal", spy)
+    catalog = Catalog(parse_catalog_text(Q1_TEXT))
+    lhs_sum, rhs_sums = derive_sums(catalog.by_key["Q1"].decomposition)
+    for bound, derived in ((50000, (12500, 12499, 12499, 12499)), (43, (10,) * 4), (3, (1,) * 4)):
+        calls.clear()
+        row = run_catalog(catalog, order=50, bound=bound).rows[0]
+        assert row.ok, row.detail
+        assert calls == [(lhs_sum, bound)] + list(zip(rhs_sums, derived))
