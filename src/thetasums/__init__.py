@@ -15,7 +15,6 @@ from .polygonal import (
     UniversalityVerdict,
     certify_universal,
     equivalent_upto,
-    representation_series,
     term_from_polygonal,
 )
 from .series import Series
@@ -54,7 +53,6 @@ __all__ = [
     "equivalent_upto",
     "expression_series",
     "product_split",
-    "representation_series",
     "term_from_polygonal",
     "verify_decomposition",
 ]

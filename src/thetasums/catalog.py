@@ -507,6 +507,8 @@ def run_catalog(
 ) -> Report:
     """Check every selected entry and return one row per entry, key-sorted.
 
+    An unknown key or kind, or a selection of no entry, is a CatalogError.
+
     Decomposition rows are checked last, so the check order is not the row
     order.  They alone certify sums below the full bound, at the bounds
     derived from the lhs bound; in the packaged catalog every such sum is
@@ -524,6 +526,8 @@ def run_catalog(
             raise CatalogError(f"unknown catalog key(s): {', '.join(unknown)}")
         wanted = set(keys)
         selected = [e for e in selected if e.key in wanted]
+    if not selected:
+        raise CatalogError("no catalog entries selected")
     selected = sorted(selected, key=lambda e: (e.kind == "decomposition", e.key))
     rows = [check_entry(e, order, bound, catalog) for e in selected]
     return Report(order, bound, sorted(rows, key=lambda r: r.key))

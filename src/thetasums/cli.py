@@ -118,8 +118,6 @@ def _emit_report(report: cat.Report, fmt: str) -> int:
 
 
 def _run_selected(catalog: cat.Catalog, keys: list[str], args) -> int:
-    if not keys:
-        return _fail_usage("no catalog entries selected")
     try:
         report = cat.run_catalog(catalog, order=args.order, bound=args.bound, keys=keys)
     except cat.CatalogError as exc:

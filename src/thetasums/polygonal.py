@@ -4,7 +4,7 @@ A QuadTerm is one summand c*x(Ax+B)/2 with x ranging over all integers; a
 PolygonalSum is a finite list of them.  Certification of universality is
 bounded and sieve-based: value sets become bitmasks (Python ints) and the
 sumset of two masks is an OR of shifts, so only positivity is ever
-computed unless representation counts are asked for explicitly.
+computed, never a representation count.
 
 One fold builds every mask: _prefix_mask(families, bound) shifts the last
 family's values onto the mask of the families before it, starting from {0}.
@@ -24,8 +24,7 @@ in one linear scan of its binary digits only when the full list is read.
 QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
 same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
 canonical atoms (i <= j) this inverts the map transfer.derive_sums applies,
-and it is how representation counts come from theta.product_series and
-values_upto from theta.atom_exponents.
+and it is how values_upto comes from theta.atom_exponents.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd
 
-from .series import Series
-from .theta import ThetaAtom, atom_exponents, product_series
+from .theta import atom_exponents
 
 
 @dataclass(frozen=True, order=True)
@@ -127,15 +125,6 @@ def term_from_polygonal(coeff: int, m: int) -> QuadTerm:
     if m < 3:
         raise ValueError("polygonal order must be >= 3")
     return QuadTerm(coeff, m - 2, -(m - 4))
-
-
-def representation_series(s: PolygonalSum, bound: int) -> Series:
-    """Exact representation counts of 0..bound (series order bound+1)."""
-    atoms = tuple(
-        ThetaAtom(t.coeff * (t.a + t.b) // 2, t.coeff * (t.a - t.b) // 2)
-        for t in s.terms
-    )
-    return product_series(atoms, bound + 1)
 
 
 # The widest mask folded for each family tuple, as (bound, mask), oldest

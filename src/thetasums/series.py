@@ -67,6 +67,8 @@ class Series:
 
     def scale(self, k: int) -> Series:
         k = int(k)
+        if k == 1:
+            return self
         return Series._wrap([k * c for c in self._coeffs])
 
     def mul(self, other: Series) -> Series:

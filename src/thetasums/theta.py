@@ -18,7 +18,6 @@ throughout are symmetry (i, j) = (j, i) and the unit-argument doubling
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .series import Series
 
@@ -116,43 +115,30 @@ def atom_exponents(i: int, j: int, limit: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _atom_series(i: int, j: int, order: int) -> Series:
-    coeffs = [0] * order
-    for e in atom_exponents(i, j, order - 1):
-        coeffs[e] += 1
-    return Series._wrap(coeffs)
-
-
 def atom_series(atom: ThetaAtom, order: int) -> Series:
     """Exact expansion of the atom, truncated at order."""
     if order < 1:
         raise ValueError("order must be positive")
-    return _atom_series(atom.i, atom.j, order)
-
-
-@lru_cache(maxsize=4096)
-def _product_series_cached(atoms: tuple[ThetaAtom, ...], order: int) -> Series:
-    result = _atom_series(atoms[0].i, atoms[0].j, order)
-    for a in atoms[1:]:
-        result = result.mul(_atom_series(a.i, a.j, order))
-    return result
+    coeffs = [0] * order
+    for e in atom_exponents(atom.i, atom.j, order - 1):
+        coeffs[e] += 1
+    return Series._wrap(coeffs)
 
 
 def product_series(atoms: tuple[ThetaAtom, ...], order: int) -> Series:
     """Expansion of a plain product of atoms (no shift, no multiplier)."""
-    return _product_series_cached(tuple(sorted(atoms)), order)
-
-
-def term_series(term: ProductTerm, order: int) -> Series:
-    return product_series(term.atoms, order).scale(term.multiplier).shift(term.shift)
+    result = atom_series(atoms[0], order)
+    for a in atoms[1:]:
+        result = result.mul(atom_series(a, order))
+    return result
 
 
 def expression_series(expr: ThetaExpression, order: int) -> Series:
     """Exact expansion of the full formal sum."""
     total = Series.zero(order)
     for term in expr.terms:
-        total = total.add(term_series(term, order))
+        product = product_series(term.atoms, order)
+        total = total.add(product.scale(term.multiplier).shift(term.shift))
     return total
 
 

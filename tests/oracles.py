@@ -1,8 +1,10 @@
 """Independent reference implementations used only by tests.
 
-Everything here recomputes results from first principles (schoolbook
-convolution, direct nested loops over integer variables) so the fast paths
-in the package are checked against a second, dumber route.
+Everything here recomputes results by a second route (schoolbook
+convolution, direct nested loops over integer variables, theta products)
+so the fast paths in the package are checked against an independent one.
+The sieve, representation_series and brute_counts/brute_missing are the
+three legs of the sieve/series/loops oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from math import gcd
 
 from thetasums.polygonal import PolygonalSum, QuadTerm
 from thetasums.series import Series
+from thetasums.theta import ThetaAtom, product_series
 
 
 def schoolbook_mul(a: Series, b: Series) -> Series:
@@ -22,6 +25,19 @@ def schoolbook_mul(a: Series, b: Series) -> Series:
         for j in range(order - i):
             out[i + j] += ai * b[j]
     return Series(out, order)
+
+
+def representation_series(s: PolygonalSum, bound: int) -> Series:
+    """Exact representation counts of 0..bound (series order bound+1).
+
+    QuadTerm(c, A, B) enumerates the exponents of the theta atom
+    (c(A+B)/2, c(A-B)/2), so the counts are the product of those atoms.
+    """
+    atoms = tuple(
+        ThetaAtom(t.coeff * (t.a + t.b) // 2, t.coeff * (t.a - t.b) // 2)
+        for t in s.terms
+    )
+    return product_series(atoms, bound + 1)
 
 
 def reduce_term_by_divisors(term: QuadTerm) -> QuadTerm:

@@ -15,7 +15,6 @@ from thetasums.polygonal import (
     PolygonalSum,
     certify_universal,
     equivalent_upto,
-    representation_series,
     term_from_polygonal,
 )
 from thetasums.theta import (
@@ -28,7 +27,7 @@ from thetasums.theta import (
 )
 from thetasums.transfer import Decomposition, derive_sums, verify_decomposition
 
-from oracles import brute_missing
+from oracles import brute_missing, representation_series
 
 BOUND = 50000
 ORDER = 1000

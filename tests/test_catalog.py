@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -189,11 +190,14 @@ def test_run_catalog_kind_filter(catalog):
     [
         ({"keys": ["Q1", "no-such-key"]}, "no-such-key"),
         ({"kinds": ("identiy",)}, "identiy"),
+        ({"keys": []}, "no catalog entries selected"),
+        ({"kinds": ()}, "no catalog entries selected"),
     ],
-    ids=["key", "kind"],
+    ids=["key", "kind", "no-keys", "no-kinds"],
 )
 def test_run_catalog_rejects_an_unknown_key_or_kind(catalog, selection, unknown):
-    # Selecting nothing by a typo would otherwise pass with zero rows.
+    # Selecting nothing, by a typo or by an empty list, would otherwise pass
+    # with zero rows.
     with pytest.raises(CatalogError, match=unknown):
         run_catalog(catalog, order=64, bound=100, **selection)
 
@@ -363,6 +367,24 @@ def test_a_row_checks_only_the_lemmas_its_derivation_uses(catalog):
     # Q1 is derived from (2.16) alone, so none of the other twelve
     # identities is expanded.
     assert verify_identity.cache_info().misses == 1
+
+
+def test_a_series_check_keeps_no_order_sized_data(catalog):
+    # Expansions are not cached: once the run returns, only outcomes and
+    # the report are held, whatever the order.  With the outcome caches
+    # cleared, every series check of the run expands both sides at this order.
+    catalog_module._verified_decomposition.cache_clear()
+    verify_identity.cache_clear()
+    tracemalloc.start()
+    try:
+        report = run_catalog(
+            catalog, order=20011, bound=1000, kinds=("identity", "decomposition")
+        )
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert held < 1_000_000
 
 
 # Three edits to the packaged catalog, each an exact text replacement.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -158,6 +159,17 @@ def test_reproduce_report_format(capsys):
     assert all(r["key"].startswith("thm3.3") for r in data["rows"])
     keys = [r["key"] for r in data["rows"]]
     assert keys == sorted(keys)
+
+
+def test_reproduce_all_report_is_byte_identical(capsys):
+    # The report contract: at the default order and bound, every catalog
+    # row and its detail text, byte for byte.  A change that moves this
+    # digest changes what a run reports.
+    code, out, err = run(capsys, "reproduce", "all", "--format", "report")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3f454a55cc913af1e6016e9f0f51faaf7651b314513396a17ad4fc178605fdc2"
+    )
 
 
 def test_reproduce_parallel_workers(capsys):

@@ -16,14 +16,19 @@ from thetasums.polygonal import (
     equivalent_upto,
     family_key,
     reduce_term,
-    representation_series,
     sum_families,
     sum_label,
     sum_value_mask,
     term_from_polygonal,
 )
 
-from oracles import bitmask_sumset, brute_counts, brute_missing, reduce_term_by_divisors
+from oracles import (
+    bitmask_sumset,
+    brute_counts,
+    brute_missing,
+    reduce_term_by_divisors,
+    representation_series,
+)
 
 
 def test_polygonal_value():
