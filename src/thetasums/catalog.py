@@ -19,7 +19,7 @@ these fields:
                                          that no theorem lists the sum
 
 Entries parse at load time; malformed data, including a field the kind does
-not allow, is a startup failure.
+not allow, is a startup failure that names its file and line.
 
 The theorem lists are read from the data, never from key names: they hold
 every target-sum with a 'via' and every member of a 'certify: members'
@@ -132,8 +132,6 @@ class Catalog:
 
 
 def _parse_header(line: str, where: str) -> tuple[str, str, str]:
-    if not line.startswith("["):
-        raise CatalogError(f"{where}: entry header must start with '[': {line!r}")
     close = line.find("]")
     if close < 0:
         raise CatalogError(f"{where}: unterminated key in {line!r}")
@@ -154,7 +152,8 @@ def _parse_header(line: str, where: str) -> tuple[str, str, str]:
 
 def parse_catalog_text(text: str, where: str = "<catalog>") -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
-    current: CatalogEntry | None = None
+    # Per entry, the line of its header ("") and of each of its fields.
+    lines: list[dict[str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -162,11 +161,12 @@ def parse_catalog_text(text: str, where: str = "<catalog>") -> list[CatalogEntry
         loc = f"{where}:{lineno}"
         if line.startswith("["):
             key, kind, ref = _parse_header(line, loc)
-            current = CatalogEntry(key, kind, ref, {})
-            entries.append(current)
+            entries.append(CatalogEntry(key, kind, ref, {}))
+            lines.append({"": lineno})
             continue
-        if current is None:
+        if not entries:
             raise CatalogError(f"{loc}: field outside any entry: {line!r}")
+        current = entries[-1]
         name, sep, value = line.partition(":")
         if not sep:
             raise CatalogError(f"{loc}: expected 'field: value', got {line!r}")
@@ -178,56 +178,58 @@ def parse_catalog_text(text: str, where: str = "<catalog>") -> list[CatalogEntry
         if name in current.fields:
             raise CatalogError(f"{loc}: duplicate field {name!r} in [{current.key}]")
         current.fields[name] = value.strip()
-    for e in entries:
-        _parse_payload(e)
+        lines[-1][name] = lineno
+    for e, at in zip(entries, lines):
+        _parse_payload(e, where, at)
     return entries
 
 
-def _require(entry: CatalogEntry, name: str) -> str:
-    if name not in entry.fields:
-        raise CatalogError(f"[{entry.key}]: missing field {name!r}")
-    return entry.fields[name]
+def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> None:
+    """Parse entry's fields by kind; an error names the line of the field
+    being parsed, or the header line for a missing field."""
+    field_name = ""
 
+    def value(name: str) -> str:
+        nonlocal field_name
+        if name not in entry.fields:
+            field_name = ""
+            raise CatalogError(f"missing field {name!r}")
+        field_name = name
+        return entry.fields[name]
 
-def _parse_payload(entry: CatalogEntry) -> None:
     try:
         if entry.kind == "identity":
-            entry.lhs = dsl.parse_theta_expression(_require(entry, "lhs"))
-            entry.rhs = dsl.parse_theta_expression(_require(entry, "rhs"))
+            entry.lhs = dsl.parse_theta_expression(value("lhs"))
+            entry.rhs = dsl.parse_theta_expression(value("rhs"))
         elif entry.kind == "decomposition":
-            lhs = dsl.parse_theta_expression(_require(entry, "lhs"))
+            lhs = dsl.parse_theta_expression(value("lhs"))
             if len(lhs.terms) != 1:
-                raise CatalogError(f"[{entry.key}]: lhs must be a single product")
-            rhs = dsl.parse_theta_expression(_require(entry, "rhs"))
-            modulus = int(_require(entry, "modulus"))
+                raise CatalogError("lhs must be a single product")
+            modulus = int(value("modulus"))
+            rhs = dsl.parse_theta_expression(value("rhs"))
             entry.decomposition = Decomposition(lhs.terms[0], modulus, rhs.terms)
             if "base" in entry.fields:
-                entry.base = dsl.parse_polygonal_sum(entry.fields["base"])
+                entry.base = dsl.parse_polygonal_sum(value("base"))
             if "claims" in entry.fields:
                 entry.claims = tuple(
-                    dsl.parse_polygonal_sum(part)
-                    for part in entry.fields["claims"].split("|")
+                    dsl.parse_polygonal_sum(part) for part in value("claims").split("|")
                 )
         elif entry.kind == "equivalence":
-            entry.chain = tuple(dsl.parse_chain(_require(entry, "chain")))
+            entry.chain = tuple(dsl.parse_chain(value("chain")))
             if len(entry.chain) < 2:
-                raise CatalogError(f"[{entry.key}]: chain needs at least two sums")
-            if entry.fields.get("certify", "members") != "members":
-                raise CatalogError(f"[{entry.key}]: certify must be 'members'")
-        elif entry.kind == "base-fact":
-            entry.target = dsl.parse_polygonal_sum(_require(entry, "sum"))
-        elif entry.kind == "target-sum":
-            entry.target = dsl.parse_polygonal_sum(_require(entry, "sum"))
+                raise CatalogError("chain needs at least two sums")
+            if "certify" in entry.fields and value("certify") != "members":
+                raise CatalogError("certify must be 'members'")
+        elif entry.kind in ("base-fact", "target-sum"):
+            entry.target = dsl.parse_polygonal_sum(value("sum"))
             entry.via = entry.fields.get("via")
-            if entry.via is not None and not re.fullmatch(r"\S+(\s+r[0-9]+)?", entry.via):
-                raise CatalogError(f"[{entry.key}]: via must be 'KEY' or 'KEY rN'")
+            if entry.via is not None and not re.fullmatch(r"\S+(\s+r[0-9]+)?", value("via")):
+                raise CatalogError("via must be 'KEY' or 'KEY rN'")
             entry.anchor = entry.fields.get("anchor")
-            if entry.anchor not in (None, "none"):
-                raise CatalogError(f"[{entry.key}]: anchor must be 'none'")
-    except (dsl.ParseError, ValueError) as exc:
-        if isinstance(exc, CatalogError):
-            raise
-        raise CatalogError(f"[{entry.key}]: {exc}") from None
+            if entry.anchor is not None and value("anchor") != "none":
+                raise CatalogError("anchor must be 'none'")
+    except ValueError as exc:
+        raise CatalogError(f"{where}:{lines[field_name]}: [{entry.key}]: {exc}") from None
 
 
 def default_catalog_dir():

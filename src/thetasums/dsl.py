@@ -10,17 +10,22 @@ Polygonal sums:     sum  := term ('+' term)*
                     term := [INT '*']? ('p' INT | 'x(' INT 'x' [('+'|'-') INT] ')/2')
 Chains:             chain := sum ('~' sum)*
 
-The surface syntax is ASCII only, whitespace insensitive, and '^' binds
-tighter than '*' which binds tighter than '+'.  Factor powers expand to
-repeated atoms.  Serialization is canonical (single spacing, named atom
-shapes, q^1 printed as q) and parse(serialize(v)) == v on valid values.
+The grammar is ASCII: a token is a run of digits, a run of letters, or
+one of + - * ^ ( ) , / ~.  Whitespace separates tokens and is otherwise
+ignored; any other character, ASCII or not, is an 'unexpected character'
+error.  '^' binds tighter than '*' which binds tighter than '+'.  Factor
+powers expand to repeated atoms.  Serialization is canonical (single
+spacing, named atom shapes, q^1 printed as q) and parse(serialize(v)) == v
+on valid values.
 """
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .polygonal import PolygonalSum, QuadTerm
+from .polygonal import PolygonalSum, QuadTerm, term_from_polygonal
 from .theta import ProductTerm, ThetaAtom, ThetaExpression
 
 # Named atom shapes: name(q^n) is the atom (n, ratio * n).
@@ -45,80 +50,42 @@ class ParseError(ValueError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    span: SourceSpan
+def _span(text: str, start: int, length: int) -> SourceSpan:
+    """The span of text[start:start + length]; an empty token spans one column."""
+    col = start - text.rfind("\n", 0, start)
+    return SourceSpan(text.count("\n", 0, start) + 1, col, col + max(length, 1) - 1)
 
 
-_PUNCT = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    "/": "SLASH",
-    "~": "TILDE",
-}
+# A punctuation token is its own kind; BAD is any other non-space character.
+_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z]+)|[-+*^(),/~]|(?P<BAD>\S)")
+Token = namedtuple("Token", "kind text start")
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text, then an EOF token at its end."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            start_col = col
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(
-                Token("INT", text[start:i], SourceSpan(line, start_col, col - 1))
-            )
-            continue
-        if ch.isalpha():
-            start = i
-            start_col = col
-            while i < n and text[i].isalpha():
-                i += 1
-                col += 1
-            tokens.append(
-                Token("NAME", text[start:i], SourceSpan(line, start_col, col - 1))
-            )
-            continue
-        kind = _PUNCT.get(ch)
-        if kind is None:
-            raise ParseError(f"unexpected character {ch!r}", SourceSpan(line, col, col))
-        tokens.append(Token(kind, ch, SourceSpan(line, col, col)))
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", SourceSpan(line, col, col)))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup or m[0]
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m[0]!r}", _span(text, m.start(), 1))
+        tokens.append(Token(kind, m[0], m.start()))
+    tokens.append(Token("EOF", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
 
     @property
     def current(self) -> Token:
         return self.tokens[self.pos]
+
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
+        tok = tok or self.current
+        return ParseError(message, _span(self.text, tok.start, len(tok.text)))
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         tok = self.current
@@ -130,11 +97,15 @@ class _Parser:
     def expect(self, kind: str, what: str, text: str | None = None) -> Token:
         tok = self.accept(kind, text)
         if tok is None:
-            raise ParseError(f"expected {what}, found {self.current.text!r}", self.current.span)
+            raise self.error(f"expected {what}, found {self.current.text!r}")
         return tok
 
     def expect_int(self, what: str) -> int:
-        return int(self.expect("INT", what).text)
+        tok = self.expect("INT", what)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise self.error(f"{what} has too many digits", tok) from None
 
     def done(self) -> bool:
         return self.current.kind == "EOF"
@@ -143,56 +114,56 @@ class _Parser:
 
     def qpow(self) -> int:
         self.expect("NAME", "q", "q")
-        return self.expect_int("exponent") if self.accept("CARET") else 1
+        return self.expect_int("exponent") if self.accept("^") else 1
 
     def atom(self) -> ThetaAtom:
         tok = self.current
         if tok.kind != "NAME":
-            raise ParseError(f"expected an atom, found {tok.text!r}", tok.span)
+            raise self.error(f"expected an atom, found {tok.text!r}")
         name = tok.text
         if name == "f":
             self.pos += 1
-            self.expect("LPAREN", "'('")
+            self.expect("(", "'('")
             i = self.qpow()
-            self.expect("COMMA", "','")
+            self.expect(",", "','")
             j = self.qpow()
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             if i + j < 1:
-                raise ParseError("atom f(1, 1) has no series", tok.span)
+                raise self.error("atom f(1, 1) has no series", tok)
             return ThetaAtom(i, j)
         if name in _SHAPES:
             self.pos += 1
-            self.expect("LPAREN", "'('")
+            self.expect("(", "'('")
             n = self.qpow()
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             if n < 1:
-                raise ParseError(f"{name} needs a positive power of q", tok.span)
+                raise self.error(f"{name} needs a positive power of q", tok)
             return ThetaAtom(n, _SHAPES[name] * n)
-        raise ParseError(f"unknown atom name {name!r}", tok.span)
+        raise self.error(f"unknown atom name {name!r}")
 
     def theta_term(self) -> ProductTerm:
         multiplier = 1
         shift = 0
-        tok = self.accept("INT")
-        if tok is not None:
-            multiplier = int(tok.text)
+        tok = self.current
+        if tok.kind == "INT":
+            multiplier = self.expect_int("multiplier")
             if multiplier < 1:
-                raise ParseError("multiplier must be >= 1", tok.span)
-            self.expect("STAR", "'*' after multiplier")
+                raise self.error("multiplier must be >= 1", tok)
+            self.expect("*", "'*' after multiplier")
         if self.accept("NAME", "q"):
-            shift = self.expect_int("shift exponent") if self.accept("CARET") else 1
-            self.expect("STAR", "'*' after q-power prefactor")
+            shift = self.expect_int("shift exponent") if self.accept("^") else 1
+            self.expect("*", "'*' after q-power prefactor")
         atoms: list[ThetaAtom] = []
         while True:
             a = self.atom()
             power = 1
-            if self.accept("CARET"):
+            if self.accept("^"):
                 ptok = self.current
                 power = self.expect_int("power")
                 if power < 1:
-                    raise ParseError("atom power must be >= 1", ptok.span)
+                    raise self.error("atom power must be >= 1", ptok)
             atoms.extend([a] * power)
-            if not self.accept("STAR"):
+            if not self.accept("*"):
                 break
         return ProductTerm(multiplier, shift, tuple(atoms))
 
@@ -204,7 +175,7 @@ class _Parser:
                 self.pos += 1
                 return ThetaExpression(())
         terms = [self.theta_term()]
-        while self.accept("PLUS"):
+        while self.accept("+"):
             terms.append(self.theta_term())
         return ThetaExpression(tuple(terms))
 
@@ -212,60 +183,59 @@ class _Parser:
 
     def quad_term(self) -> QuadTerm:
         coeff = 1
-        tok = self.accept("INT")
-        if tok is not None:
-            coeff = int(tok.text)
+        tok = self.current
+        if tok.kind == "INT":
+            coeff = self.expect_int("coefficient")
             if coeff < 1:
-                raise ParseError("coefficient must be >= 1", tok.span)
-            self.expect("STAR", "'*' after coefficient")
+                raise self.error("coefficient must be >= 1", tok)
+            self.expect("*", "'*' after coefficient")
         name = self.current
         if name.kind != "NAME":
-            raise ParseError(f"expected a term, found {name.text!r}", name.span)
+            raise self.error(f"expected a term, found {name.text!r}")
         if name.text == "p":
             self.pos += 1
             m = self.expect_int("polygonal order")
             if m < 3:
-                raise ParseError(f"polygonal order {m} < 3", name.span)
-            return QuadTerm(coeff, m - 2, -(m - 4))
+                raise self.error(f"polygonal order {m} < 3", name)
+            return term_from_polygonal(coeff, m)
         if name.text == "x":
             self.pos += 1
-            self.expect("LPAREN", "'('")
+            self.expect("(", "'('")
             a = self.expect_int("quadratic parameter")
             self.expect("NAME", "x", "x")
-            if self.accept("PLUS"):
+            if self.accept("+"):
                 b = self.expect_int("linear parameter")
-            elif self.accept("MINUS"):
+            elif self.accept("-"):
                 b = -self.expect_int("linear parameter")
             else:
                 b = 0
-            self.expect("RPAREN", "')'")
-            self.expect("SLASH", "'/2'")
+            self.expect(")", "')'")
+            self.expect("/", "'/2'")
             half = self.current
             if self.expect_int("denominator 2") != 2:
-                raise ParseError("denominator must be 2", half.span)
+                raise self.error("denominator must be 2", half)
             try:
                 return QuadTerm(coeff, a, b)
             except ValueError as exc:
-                raise ParseError(str(exc), name.span) from None
-        raise ParseError(f"unknown term {name.text!r}", name.span)
+                raise self.error(str(exc), name) from None
+        raise self.error(f"unknown term {name.text!r}")
 
     def polygonal_sum(self) -> PolygonalSum:
         terms = [self.quad_term()]
-        while self.accept("PLUS"):
+        while self.accept("+"):
             terms.append(self.quad_term())
         return PolygonalSum(tuple(terms))
 
     def chain(self) -> list[PolygonalSum]:
         sums = [self.polygonal_sum()]
-        while self.accept("TILDE"):
+        while self.accept("~"):
             sums.append(self.polygonal_sum())
         return sums
 
 
 def _finish(parser: _Parser, value):
     if not parser.done():
-        tok = parser.current
-        raise ParseError(f"trailing input {tok.text!r}", tok.span)
+        raise parser.error(f"trailing input {parser.current.text!r}")
     return value
 
 

@@ -4,13 +4,15 @@ Everything here recomputes results by a second route (schoolbook
 convolution, direct nested loops over integer variables, theta products)
 so the fast paths in the package are checked against an independent one.
 The sieve, representation_series and brute_counts/brute_missing are the
-three legs of the sieve/series/loops oracle.
+three legs of the sieve/series/loops oracle; char_tokenize is the
+character-by-character lexer the regex scanner in dsl replaced.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
+from thetasums.dsl import ParseError, SourceSpan
 from thetasums.polygonal import PolygonalSum, QuadTerm
 from thetasums.series import Series
 from thetasums.theta import ThetaAtom, product_series
@@ -140,3 +142,51 @@ def bitmask_sumset(s: PolygonalSum, bound: int) -> int:
             folded |= reached << v
         reached = folded & full
     return reached
+
+
+def char_tokenize(text: str) -> list[tuple[str, SourceSpan]]:
+    """(text, span) of each token, then ("", span) at the end of input.
+
+    One character at a time: runs of isdigit() or isalpha() characters,
+    single punctuation characters, '\\n' starts a new line and any other
+    isspace() character is skipped.  It agrees with dsl.tokenize on ASCII
+    text only, since isdigit() and isalpha() also accept other scripts.
+    """
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            start = i
+            start_col = col
+            while i < n and text[i].isdigit():
+                i += 1
+                col += 1
+            tokens.append((text[start:i], SourceSpan(line, start_col, col - 1)))
+            continue
+        if ch.isalpha():
+            start = i
+            start_col = col
+            while i < n and text[i].isalpha():
+                i += 1
+                col += 1
+            tokens.append((text[start:i], SourceSpan(line, start_col, col - 1)))
+            continue
+        if ch not in "+-*^(),/~":
+            raise ParseError(f"unexpected character {ch!r}", SourceSpan(line, col, col))
+        tokens.append((ch, SourceSpan(line, col, col)))
+        i += 1
+        col += 1
+    tokens.append(("", SourceSpan(line, col, col)))
+    return tokens

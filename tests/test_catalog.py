@@ -112,6 +112,54 @@ def test_malformed_via_fails_at_load(via):
         parse_catalog_text(text + via)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[x kind: identity", "<catalog>:1: unterminated key in '[x kind: identity'"),
+        ("# note\n[x] identity", "<catalog>:2: missing kind in '[x] identity'"),
+        ("[x] kind: mystery", "<catalog>:1: unknown kind 'mystery'"),
+        ("\nlhs: phi(q)", "<catalog>:2: field outside any entry: 'lhs: phi(q)'"),
+        (
+            "[x] kind: identity\nlhs phi(q)",
+            "<catalog>:2: expected 'field: value', got 'lhs phi(q)'",
+        ),
+    ],
+    ids=["unterminated-key", "missing-kind", "unknown-kind", "outside-entry", "no-colon"],
+)
+def test_line_level_errors_name_their_line(text, message):
+    with pytest.raises(CatalogError) as info:
+        parse_catalog_text(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            "[x] kind: identity\nlhs: phi(q)\nrhs: phi(q",
+            "a.cat:6: [x]: line 1, cols 6-6: expected ')', found ''",
+        ),
+        ("[x] kind: identity\n\nrhs: phi(q)", "a.cat:4: [x]: missing field 'lhs'"),
+        (
+            "[x] kind: equivalence\nchain: p3 ~ p6\ncertify: all",
+            "a.cat:6: [x]: certify must be 'members'",
+        ),
+        (
+            "[x] kind: decomposition\nlhs: Y(q)*Y(q^2)*Y(q^4)^2\nrhs: X(q^8)*Y(q^2)*Y(q^4)^2"
+            " + q^2*Y(q^2)*Y(q^4)^3\nmodulus: 2",
+            "a.cat:6: [x]: shift 2 outside 0..1",
+        ),
+    ],
+    ids=["dsl-error", "missing-field", "bad-certify", "bad-decomposition"],
+)
+def test_entry_errors_name_the_file_and_line_of_the_field(tmp_path, entry, message):
+    path = tmp_path / "a.cat"
+    path.write_text("[ok] kind: base-fact\nsum: p3 + p3 + p3\n\n" + entry + "\n")
+    with pytest.raises(CatalogError) as info:
+        load_catalog(path)
+    assert str(info.value) == message
+
+
 DATA = Path(catalog_module.__file__).with_name("data")
 # Per packaged file: entry count, first key and last key.
 DATA_FILES = {

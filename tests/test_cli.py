@@ -32,6 +32,24 @@ def test_expand_parse_error_exits_2(capsys):
     assert "expected" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("expand", "phi(q^\u00b2)"), "error: line 1, cols 7-7: unexpected character '\u00b2'\n"),
+        (("universal", "p3 + p\u0663"), "error: line 1, cols 7-7: unexpected character '\u0663'\n"),
+        (("equiv", "p3", "p\u00e9"), "error: line 1, cols 2-2: unexpected character '\u00e9'\n"),
+        (
+            ("universal", "p" + "9" * 5000),
+            "error: line 1, cols 2-5001: polygonal order has too many digits\n",
+        ),
+    ],
+    ids=["superscript-exponent", "arabic-indic-order", "accented-letter", "over-long-order"],
+)
+def test_literals_outside_the_grammar_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_expand_report_format(capsys):
     code, out, _ = run(capsys, "expand", "Y(q)", "--order", "10", "--format", "report")
     assert code == 0

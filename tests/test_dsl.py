@@ -1,5 +1,10 @@
-import pytest
+import string
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from thetasums import dsl
 from thetasums.dsl import (
     ParseError,
     parse_chain,
@@ -9,6 +14,8 @@ from thetasums.dsl import (
 )
 from thetasums.polygonal import QuadTerm
 from thetasums.theta import ProductTerm, ThetaAtom, ThetaExpression
+
+from oracles import char_tokenize
 
 
 def test_parse_simple_atoms():
@@ -48,17 +55,64 @@ def test_parse_whitespace_insensitive():
     assert a == b
 
 
-def test_parse_errors_carry_spans():
-    with pytest.raises(ParseError) as info:
-        parse_theta_expression("phi(q^4) + 2*plop(q)")
-    assert info.value.span.line == 1
-    assert info.value.span.col_start == 14
+# Malformed inputs and their exact errors, as the character-by-character
+# lexer reported them before the regex scanner replaced it.
+MALFORMED = [
+    ("theta_expression", "phi(q", "line 1, cols 6-6: expected ')', found ''"),
+    ("theta_expression", "phi(q) + ", "line 1, cols 10-10: expected an atom, found ''"),
+    ("theta_expression", "phi(q^4) + 2*plop(q)", "line 1, cols 14-17: unknown atom name 'plop'"),
+    ("theta_expression", "f(q^0, q^0)", "line 1, cols 1-1: atom f(1, 1) has no series"),
+    ("theta_expression", "psi(q^0)", "line 1, cols 1-3: psi needs a positive power of q"),
+    ("theta_expression", "0*phi(q)", "line 1, cols 1-1: multiplier must be >= 1"),
+    ("theta_expression", "2 phi(q)",
+     "line 1, cols 3-5: expected '*' after multiplier, found 'phi'"),
+    ("theta_expression", "q^2 psi(q)",
+     "line 1, cols 5-7: expected '*' after q-power prefactor, found 'psi'"),
+    ("theta_expression", "phi(q)^0", "line 1, cols 8-8: atom power must be >= 1"),
+    ("theta_expression", "phi(q) ! psi(q)", "line 1, cols 8-8: unexpected character '!'"),
+    ("theta_expression", "phi(q)\n  + psi(q^2)\n  + Y(q^3) Y",
+     "line 3, cols 12-12: trailing input 'Y'"),
+    ("theta_expression", "f(q, q^2", "line 1, cols 9-9: expected ')', found ''"),
+    ("polygonal_sum", "p2", "line 1, cols 1-1: polygonal order 2 < 3"),
+    ("polygonal_sum", "p3 + + p4", "line 1, cols 6-6: expected a term, found '+'"),
+    ("polygonal_sum", "x(3x+2)/2", "line 1, cols 1-1: parity violation: 3 and -2 differ mod 2"),
+    ("polygonal_sum", "x(3x+1)/3", "line 1, cols 9-9: denominator must be 2"),
+    ("polygonal_sum", "0*p3", "line 1, cols 1-1: coefficient must be >= 1"),
+    ("polygonal_sum", "p3 + r5", "line 1, cols 6-6: unknown term 'r'"),
+    ("polygonal_sum", "p3 + p", "line 1, cols 7-7: expected polygonal order, found ''"),
+    ("polygonal_sum", "p3 + 2*", "line 1, cols 8-8: expected a term, found ''"),
+    ("polygonal_sum", "x(5x-7)/2", "line 1, cols 1-1: |b| > a would produce negative values"),
+    ("polygonal_sum", "p3 p4", "line 1, cols 4-4: trailing input 'p'"),
+    ("chain", "p3 ~ p6 ~ ", "line 1, cols 11-11: expected a term, found ''"),
+    ("chain", "p3 ~\n\tp6 ~ x(4x-2/2", "line 2, cols 13-13: expected ')', found '/'"),
+    ("chain", "p3 ~ p6 . p8", "line 1, cols 9-9: unexpected character '.'"),
+]
 
-    with pytest.raises(ParseError):
-        parse_theta_expression("f(q^0, q^0)")
+
+@pytest.mark.parametrize("grammar, text, message", MALFORMED)
+def test_malformed_input_errors_are_pinned(grammar, text, message):
     with pytest.raises(ParseError) as info:
-        parse_theta_expression("phi(q) + ")
-    assert "expected" in str(info.value)
+        getattr(dsl, f"parse_{grammar}")(text)
+    assert str(info.value) == message
+
+
+def _scan(lexer, text):
+    try:
+        return lexer(text)
+    except ParseError as exc:
+        return str(exc), exc.span
+
+
+def _regex_scan(text):
+    return [(t.text, dsl._span(text, t.start, len(t.text))) for t in dsl.tokenize(text)]
+
+
+@given(
+    st.text(alphabet=string.ascii_letters + string.digits + "+-*^(),/~ \t\n")
+    | st.text(alphabet=string.printable)
+)
+def test_the_regex_scanner_matches_the_character_lexer(text):
+    assert _scan(_regex_scan, text) == _scan(char_tokenize, text)
 
 
 def test_parse_polygonal_sums():
@@ -72,17 +126,6 @@ def test_parse_polygonal_sums():
 
     s = parse_polygonal_sum("p3")
     assert s.terms == (QuadTerm(1, 1, -1),)
-
-
-def test_parse_polygonal_rejects_bad_terms():
-    with pytest.raises(ParseError):
-        parse_polygonal_sum("p2")
-    with pytest.raises(ParseError):
-        parse_polygonal_sum("x(3x+2)/2")  # parity violation
-    with pytest.raises(ParseError):
-        parse_polygonal_sum("x(3x+1)/3")
-    with pytest.raises(ParseError):
-        parse_polygonal_sum("p3 + + p4")
 
 
 def test_parse_chain():
