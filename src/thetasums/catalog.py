@@ -37,12 +37,15 @@ order N'.  The row then certifies the sums read off the atoms
 (transfer.derive_sums): the lhs sum up to the bound and, only once it
 passes, each rhs sum up to the largest m with k*m + shift <= bound.
 Nothing is checked at load time.
+
+A Row is an immutable namedtuple; CatalogEntry, Catalog and Report are
+plain records.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
@@ -78,32 +81,39 @@ class CatalogError(ValueError):
     """Malformed catalog data."""
 
 
-@dataclass
 class CatalogEntry:
-    key: str
-    kind: str
-    ref: str
-    fields: dict[str, str]
-    # Parsed payloads (populated by kind):
-    lhs: ThetaExpression | None = None
-    rhs: ThetaExpression | None = None
-    decomposition: Decomposition | None = None
-    base: PolygonalSum | None = None
-    claims: tuple[PolygonalSum, ...] = ()
-    chain: tuple[PolygonalSum, ...] = ()
-    target: PolygonalSum | None = None
-    via: str | None = None
-    anchor: str | None = None
+    """One catalog block: its header, its raw fields and, by kind, the payloads
+    parsed from them."""
+
+    def __init__(
+        self,
+        key: str,
+        kind: str,
+        ref: str,
+        fields: dict[str, str],
+        lhs: ThetaExpression | None = None,
+        rhs: ThetaExpression | None = None,
+        decomposition: Decomposition | None = None,
+        base: PolygonalSum | None = None,
+        claims: tuple[PolygonalSum, ...] = (),
+        chain: tuple[PolygonalSum, ...] = (),
+        target: PolygonalSum | None = None,
+        via: str | None = None,
+        anchor: str | None = None,
+    ):
+        self.key, self.kind, self.ref, self.fields = key, kind, ref, fields
+        self.lhs, self.rhs, self.decomposition = lhs, rhs, decomposition
+        self.base, self.claims, self.chain = base, claims, chain
+        self.target, self.via, self.anchor = target, via, anchor
 
 
-@dataclass
 class Catalog:
-    entries: list[CatalogEntry]
-    by_key: dict[str, CatalogEntry] = field(default_factory=dict)
+    """Entries in load order, indexed by their unique keys."""
 
-    def __post_init__(self):
-        self.by_key = {}
-        for e in self.entries:
+    def __init__(self, entries: list[CatalogEntry]):
+        self.entries = entries
+        self.by_key: dict[str, CatalogEntry] = {}
+        for e in entries:
             if e.key in self.by_key:
                 raise CatalogError(f"duplicate catalog key {e.key!r}")
             self.by_key[e.key] = e
@@ -205,6 +215,8 @@ def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> No
             lhs = dsl.parse_theta_expression(value("lhs"))
             if len(lhs.terms) != 1:
                 raise CatalogError("lhs must be a single product")
+            if not re.fullmatch(r"[0-9]+", value("modulus")):
+                raise CatalogError("modulus must be written in ASCII digits")
             modulus = int(value("modulus"))
             rhs = dsl.parse_theta_expression(value("rhs"))
             entry.decomposition = Decomposition(lhs.terms[0], modulus, rhs.terms)
@@ -238,7 +250,11 @@ def default_catalog_dir():
 
 def load_catalog(path: str | Path | None = None) -> Catalog:
     """Load a catalog from a file, a directory of *.cat files, or, with no
-    path, the packaged data directory; a directory's files load by name."""
+    path, the packaged data directory; a directory's files load by name.
+
+    Files are read as UTF-8; a file that cannot be read or decoded is a
+    CatalogError that names it.
+    """
     root = default_catalog_dir() if path is None else Path(path)
     files = [root]
     if root.is_dir():
@@ -246,18 +262,26 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
         if not files:
             raise CatalogError(f"{root}: no *.cat files in this directory")
     files.sort(key=lambda f: f.name)
-    return Catalog([e for f in files for e in parse_catalog_text(f.read_text(), f.name)])
+    entries = []
+    for f in files:
+        try:
+            text = f.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            reason = f"{exc.reason} at byte {exc.start}"
+            raise CatalogError(f"{f}: not UTF-8 text ({reason})") from None
+        except OSError as exc:
+            raise CatalogError(f"{f}: {exc.strerror or exc}") from None
+        entries += parse_catalog_text(text, f.name)
+    return Catalog(entries)
 
 
 # -- per-entry checks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Row:
-    key: str
-    kind: str
-    status: str  # pass | fail
-    detail: str
+class Row(namedtuple("Row", "key kind status detail")):
+    """One checked entry; status is "pass" or "fail"."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -470,11 +494,11 @@ def check_entry(entry: CatalogEntry, order: int, bound: int, catalog: Catalog) -
     raise CatalogError(f"unknown kind {entry.kind!r}")
 
 
-@dataclass
 class Report:
-    order: int
-    bound: int
-    rows: list[Row]
+    """The rows of one catalog run, with the order and bound they were checked at."""
+
+    def __init__(self, order: int, bound: int, rows: list[Row]):
+        self.order, self.bound, self.rows = order, bound, rows
 
     @property
     def ok(self) -> bool:

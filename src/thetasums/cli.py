@@ -101,7 +101,7 @@ def cmd_expand(args) -> int:
 def _load_catalog_arg(path):
     try:
         return cat.load_catalog(path)
-    except (cat.CatalogError, FileNotFoundError) as exc:
+    except cat.CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .polygonal import PolygonalSum, QuadTerm, term_from_polygonal
 from .theta import ProductTerm, ThetaAtom, ThetaExpression
@@ -32,13 +31,10 @@ from .theta import ProductTerm, ThetaAtom, ThetaExpression
 _SHAPES = {"phi": 1, "X": 2, "psi": 3, "Y": 5}
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(namedtuple("SourceSpan", "line col_start col_end")):
     """1-based line and column range of a token."""
 
-    line: int
-    col_start: int
-    col_end: int
+    __slots__ = ()
 
     def __str__(self):
         return f"line {self.line}, cols {self.col_start}-{self.col_end}"

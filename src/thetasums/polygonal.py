@@ -1,10 +1,13 @@
 """Generalized polygonal numbers, finite polygonal sums, and certification.
 
 A QuadTerm is one summand c*x(Ax+B)/2 with x ranging over all integers; a
-PolygonalSum is a finite list of them.  Certification of universality is
-bounded and sieve-based: value sets become bitmasks (Python ints) and the
-sumset of two masks is an OR of shifts, so only positivity is ever
-computed, never a representation count.
+PolygonalSum is a finite list of them.  Both are immutable namedtuples
+whose constructors validate (_make and _replace too) and which hash and
+compare as the plain tuple of their fields; the length of a PolygonalSum is
+its number of terms.
+Certification of universality is bounded and sieve-based: value sets become
+bitmasks (Python ints) and the sumset of two masks is an OR of shifts, so
+only positivity is ever computed, never a representation count.
 
 One fold builds every mask: _prefix_mask(families, bound) shifts the last
 family's values onto the mask of the families before it, starting from {0}.
@@ -29,7 +32,7 @@ and it is how values_upto comes from theta.atom_exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd
@@ -37,8 +40,7 @@ from math import gcd
 from .theta import atom_exponents
 
 
-@dataclass(frozen=True, order=True)
-class QuadTerm:
+class QuadTerm(namedtuple("QuadTerm", "coeff a b")):
     """Value family { coeff * x(a*x + b)/2 : x in Z }.
 
     b is normalized to b <= 0 (x <-> -x symmetry leaves the family fixed);
@@ -46,20 +48,20 @@ class QuadTerm:
     family is nonnegative.
     """
 
-    coeff: int
-    a: int
-    b: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", -abs(self.b))
-        if self.coeff < 1:
+    def __new__(cls, coeff: int, a: int, b: int):
+        b = -abs(b)
+        if coeff < 1:
             raise ValueError("term coefficient must be >= 1")
-        if self.a < 1:
+        if a < 1:
             raise ValueError("leading parameter must be >= 1")
-        if (self.a - self.b) % 2 != 0:
-            raise ValueError(f"parity violation: {self.a} and {self.b} differ mod 2")
-        if -self.b > self.a:
+        if (a - b) % 2 != 0:
+            raise ValueError(f"parity violation: {a} and {b} differ mod 2")
+        if -b > a:
             raise ValueError("|b| > a would produce negative values")
+        return tuple.__new__(cls, (coeff, a, b))
 
     def value(self, x: int) -> int:
         return self.coeff * (x * (self.a * x + self.b)) // 2
@@ -70,22 +72,22 @@ class QuadTerm:
         return sorted(set(atom_exponents(c * (a + b) // 2, c * (a - b) // 2, bound)))
 
 
-@dataclass(frozen=True)
-class PolygonalSum:
-    """Finite formal sum of QuadTerms."""
+class PolygonalSum(namedtuple("PolygonalSum", "terms")):
+    """Finite formal sum of QuadTerms; its length is the number of terms."""
 
-    terms: tuple[QuadTerm, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    def __new__(cls, terms: tuple[QuadTerm, ...]):
+        terms = tuple(terms)
+        if not terms:
             raise ValueError("a polygonal sum needs at least one term")
+        return tuple.__new__(cls, (terms,))
 
     def __len__(self) -> int:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
 class UniversalityVerdict:
     """Bounded certification result; bit n of gaps is set for each gap n <= bound.
 
@@ -93,8 +95,12 @@ class UniversalityVerdict:
     gap list is built only when missing is first read.
     """
 
-    bound: int
-    gaps: int = field(default=0, repr=False)
+    def __init__(self, bound: int, gaps: int = 0):
+        self.bound = bound
+        self.gaps = gaps
+
+    def __repr__(self) -> str:
+        return f"UniversalityVerdict(bound={self.bound!r})"
 
     @property
     def universal(self) -> bool:

@@ -4,10 +4,14 @@ Every other module evaluates against this substrate.  A Series stores one
 coefficient per exponent 0..order-1 and carries no meaning beyond that;
 binary operations truncate to the smaller order so stale high coefficients
 never propagate.  Coefficients are Python ints, so arithmetic is exact at
-any magnitude (overflow cannot occur silently).
+any magnitude (overflow cannot occur silently).  Coefficients and scale
+factors must be integers (operator.index): a float or a string is a
+TypeError, never rounded or parsed.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 
 class Series:
@@ -16,7 +20,7 @@ class Series:
     __slots__ = ("_coeffs", "order")
 
     def __init__(self, coeffs, order: int | None = None):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = [index(c) for c in coeffs]
         if order is None:
             order = len(coeffs)
         if order < 1:
@@ -66,7 +70,7 @@ class Series:
         return Series._wrap([a[e] + b[e] for e in range(order)])
 
     def scale(self, k: int) -> Series:
-        k = int(k)
+        k = index(k)
         if k == 1:
             return self
         return Series._wrap([k * c for c in self._coeffs])

@@ -13,11 +13,16 @@ Expressions are formal integer-weighted sums of q-power-shifted products
 of atoms; they evaluate exactly into Series.  The two rewriting rules used
 throughout are symmetry (i, j) = (j, i) and the unit-argument doubling
 (0, j) -> 2 * (j, 3j).
+
+Atoms, product terms and expressions are immutable namedtuples whose
+constructors validate (_make, and so _replace, call the constructor): they
+hash, compare and sort as the plain tuple of their fields, so
+ThetaAtom(1, 3) == (1, 3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .series import Series
 
@@ -34,50 +39,49 @@ class UnsupportedSplit(ThetaError):
     """Product split would produce a negative atom exponent."""
 
 
-@dataclass(frozen=True, order=True)
-class ThetaAtom:
+class ThetaAtom(namedtuple("ThetaAtom", "i j")):
     """One theta factor with exponent pair (i, j); denotes f(q^i, q^j)."""
 
-    i: int
-    j: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0:
-            raise ThetaError(f"negative atom exponent in ({self.i}, {self.j})")
-        if self.i + self.j < 1:
+    def __new__(cls, i: int, j: int):
+        if i < 0 or j < 0:
+            raise ThetaError(f"negative atom exponent in ({i}, {j})")
+        if i + j < 1:
             raise ThetaError("atom (0, 0) is not a theta function")
+        return tuple.__new__(cls, (i, j))
 
     @property
     def is_canonical(self) -> bool:
         return 1 <= self.i <= self.j
 
 
-@dataclass(frozen=True)
-class ProductTerm:
+class ProductTerm(namedtuple("ProductTerm", "multiplier shift atoms")):
     """multiplier * q^shift * product of atoms."""
 
-    multiplier: int
-    shift: int
-    atoms: tuple[ThetaAtom, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def __post_init__(self):
-        if self.multiplier < 1:
+    def __new__(cls, multiplier: int, shift: int, atoms: tuple[ThetaAtom, ...]):
+        if multiplier < 1:
             raise ThetaError("term multiplier must be >= 1")
-        if self.shift < 0:
+        if shift < 0:
             raise ThetaError("term shift must be nonnegative")
-        if not self.atoms:
+        atoms = tuple(atoms)
+        if not atoms:
             raise ThetaError("term needs at least one atom")
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+        return tuple.__new__(cls, (multiplier, shift, atoms))
 
 
-@dataclass(frozen=True)
-class ThetaExpression:
+class ThetaExpression(namedtuple("ThetaExpression", "terms")):
     """Formal sum of product terms; the empty sum is zero."""
 
-    terms: tuple[ProductTerm, ...] = ()
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __new__(cls, terms: tuple[ProductTerm, ...] = ()):
+        return tuple.__new__(cls, (tuple(terms),))
 
 
 def canonicalize(term: ProductTerm) -> ProductTerm:

@@ -18,12 +18,15 @@ the decomposition to order N.  verify_decomposition series-checks it as
 the identity it is, through verify_identity, the one series check; it is
 the fallback when no derivation is found and the reference the derivation
 is tested against.
+
+Decomposition and VerifyOutcome are immutable namedtuples; the
+Decomposition constructor, which _make and _replace call, checks the
+structure described above.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .polygonal import PolygonalSum, QuadTerm
@@ -44,31 +47,26 @@ class DecompositionError(ValueError):
     """Structural violation in a decomposition."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "lhs modulus rhs")):
     """lhs = sum of rhs terms, separated by exponent residue mod modulus."""
 
-    lhs: ProductTerm
-    modulus: int
-    rhs: tuple[ProductTerm, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def __post_init__(self):
-        object.__setattr__(self, "rhs", tuple(self.rhs))
-        self.validate()
-
-    def validate(self) -> None:
-        k = self.modulus
+    def __new__(cls, lhs: ProductTerm, modulus: int, rhs: tuple[ProductTerm, ...]):
+        rhs = tuple(rhs)
+        k = modulus
         if k < 2:
             raise DecompositionError("modulus must be >= 2")
-        if self.lhs.multiplier != 1 or self.lhs.shift != 0:
+        if lhs.multiplier != 1 or lhs.shift != 0:
             raise DecompositionError("lhs must be a bare product (multiplier 1, shift 0)")
-        if len(self.lhs.atoms) not in (3, 4):
+        if len(lhs.atoms) not in (3, 4):
             raise DecompositionError("lhs must be a product of 3 or 4 atoms")
-        if not self.rhs:
+        if not rhs:
             raise DecompositionError("decomposition needs at least one rhs term")
         seen = set()
-        for t in self.rhs:
-            if len(t.atoms) != len(self.lhs.atoms):
+        for t in rhs:
+            if len(t.atoms) != len(lhs.atoms):
                 raise DecompositionError("rhs terms must match the lhs arity")
             if not 0 <= t.shift < k:
                 raise DecompositionError(f"shift {t.shift} outside 0..{k - 1}")
@@ -80,17 +78,15 @@ class Decomposition:
                     raise DecompositionError(
                         f"atom ({a.i}, {a.j}) exponents not divisible by {k}"
                     )
+        return tuple.__new__(cls, (lhs, modulus, rhs))
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
+class VerifyOutcome(
+    namedtuple("VerifyOutcome", "ok exponent detail left right", defaults=(None, "", None, None))
+):
     """A series check; a failure at an exponent keeps both coefficients there."""
 
-    ok: bool
-    exponent: int | None = None
-    detail: str = ""
-    left: int | None = None
-    right: int | None = None
+    __slots__ = ()
 
 
 @lru_cache(maxsize=256)
@@ -127,7 +123,7 @@ def verify_decomposition(d: Decomposition, order: int) -> VerifyOutcome:
     if e is None:
         return out
     detail = f"residue {e % k}: coefficient {out.left} vs {out.right} at q^{e}"
-    return replace(out, detail=detail)
+    return out._replace(detail=detail)
 
 
 def _scaled(atoms: tuple[ThetaAtom, ...], n: int) -> tuple[ThetaAtom, ...]:

@@ -113,6 +113,15 @@ def test_malformed_via_fails_at_load(via):
 
 
 @pytest.mark.parametrize(
+    "modulus", ["\u0664", "0_4", "+4"], ids=["arabic-indic-four", "underscore", "plus"]
+)
+def test_a_modulus_not_in_ascii_digits_fails_at_its_line(modulus):
+    with pytest.raises(CatalogError) as info:
+        parse_catalog_text(Q1_TEXT.replace("modulus: 4", f"modulus: {modulus}"))
+    assert str(info.value) == "<catalog>:3: [Q1]: modulus must be written in ASCII digits"
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("[x kind: identity", "<catalog>:1: unterminated key in '[x kind: identity'"),
@@ -191,7 +200,7 @@ def test_a_directory_without_catalog_files_is_an_error(tmp_path):
     (tmp_path / "notes.txt").write_text("[x] kind: base-fact\nsum: p3\n")
     with pytest.raises(CatalogError, match="no \\*.cat files"):
         load_catalog(tmp_path)
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(CatalogError, match="missing.cat: No such file"):
         load_catalog(tmp_path / "missing.cat")
 
 

@@ -105,6 +105,15 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     assert "first difference at q^1" in out
 
 
+def test_an_unreadable_catalog_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.cat"
+    path.write_bytes(b'[x] kind: base-fact ref: "\xff"\nsum: p3 + p3 + p3\n')
+    code, out, err = run(capsys, "verify", "all", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 26)\n"
+
+
 def test_universal_examples(capsys):
     code, out, _ = run(capsys, "universal", "p5 + p5 + p5 + 4*p5", "--bound", "50000")
     assert code == 0

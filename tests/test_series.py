@@ -118,3 +118,12 @@ def test_scale_and_exactness():
     s = Series([big, -big], 3)
     assert (s.scale(big)).coeffs == (big * big, -big * big, 0)
     assert (s * s).coeffs == (big * big, -2 * big * big, big * big)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3"], ids=["float", "integral-float", "str"])
+def test_coefficients_and_scale_factors_must_be_integers(bad):
+    with pytest.raises(TypeError):
+        Series([1, bad, 3])
+    with pytest.raises(TypeError):
+        Series([1, 2, 3]).scale(bad)
+    assert Series([True, 2]).coeffs == (1, 2)
