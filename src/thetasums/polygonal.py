@@ -9,20 +9,25 @@ Certification of universality is bounded and sieve-based: value sets become
 bitmasks (Python ints) and the sumset of two masks is an OR of shifts, so
 only positivity is ever computed, never a representation count.
 
-One fold builds every mask: _prefix_mask(families, bound) shifts the last
-family's values onto the mask of the families before it, starting from {0}.
+Every mask is top-aligned: in a mask at bound b, bit i stands for the value
+b - i, so {0} is 1 << b and no mask is wider than b + 1 bits.  One fold
+builds every mask: _prefix_mask(families, bound) shifts the mask of the
+families before the last one right by each of the last family's values,
+starting from {0}; a right shift drops every sum past the bound as it goes.
 A sum is keyed by its family keys in canonical densest-first order
 (sum_families), so permuted and rescaled spellings share one mask, sums
 with a common prefix share its folds, and the sparsest family is folded
 last.  Each distinct value of a family is folded once, in increasing order,
-and a fold stops once no gap is left at or above the next value: shifting
-by v sets no bit below v, so no later value can fill a gap.  Every value is
->= 0, so a mask at bound b is the low b + 1 bits of the same families' mask
-at any wider bound: one store, _masks, keeps only the widest mask folded
-for each family tuple, and a request below that bound is answered by
-truncation, not by a fold.  Verdicts are not cached: certify_universal
-keeps the gaps of the mask as a mask, counted by bit_count, and lists them
-in one linear scan of its binary digits only when the full list is read.
+and a fold stops once no gap is left at or above the next value u, that is
+once the low bound - u + 1 bits are all set: shifting by v sets no bit for
+a value below v, so no later value can fill a gap.  Every value is >= 0, so
+a mask at bound b is the same families' mask at any wider bound w shifted
+right by w - b: one store, _masks, keeps only the widest mask folded for
+each family tuple, and a request below that bound is answered by that
+shift, not by a fold.  Verdicts are not cached: certify_universal keeps the
+gaps of the mask as a top-aligned mask, counted by bit_count, and lists
+them in one linear scan of its binary digits only when the full list is
+read.
 
 QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
 same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
@@ -89,10 +94,12 @@ class PolygonalSum(namedtuple("PolygonalSum", "terms")):
 
 
 class UniversalityVerdict:
-    """Bounded certification result; bit n of gaps is set for each gap n <= bound.
+    """Bounded certification result; gaps is a top-aligned mask.
 
-    The verdict, the gap count and a short head come from the mask; the full
-    gap list is built only when missing is first read.
+    Bit i of gaps is set when bound - i is a gap, so the smallest gaps are
+    the highest set bits.  The verdict, the gap count and a short head come
+    from the mask; the full gap list is built only when missing is first
+    read.
     """
 
     def __init__(self, bound: int, gaps: int = 0):
@@ -111,19 +118,19 @@ class UniversalityVerdict:
         return self.gaps.bit_count()
 
     def head(self, n: int) -> tuple[int, ...]:
-        """The n smallest gaps, read off the lowest set bits."""
+        """The n smallest gaps, read off the highest set bits."""
         out = []
         g = self.gaps
         while g and len(out) < n:
-            low = g & -g
-            out.append(low.bit_length() - 1)
-            g ^= low
+            top = g.bit_length() - 1
+            out.append(self.bound - top)
+            g ^= 1 << top
         return tuple(out)
 
     @cached_property
     def missing(self) -> tuple[int, ...]:
         """Every gap <= bound, increasing."""
-        return tuple(_mask_bits(self.gaps))
+        return tuple(_mask_bits(self.gaps, self.bound))
 
 
 def term_from_polygonal(coeff: int, m: int) -> QuadTerm:
@@ -140,39 +147,46 @@ _MAX_MASKS = 4096
 
 
 def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
-    """Bitmask of the sumset of the given family keys within [0, bound].
+    """Top-aligned mask of the sumset of the given family keys within [0, bound].
 
     A tuple stored at this bound returns the stored mask, and one stored at a
-    wider bound returns that mask truncated to [0, bound]: no value is
-    negative.  Otherwise the last family's values are folded onto the prefix
-    mask by shifts and the result replaces the tuple's entry.  Every family
-    reaches 0, so a full prefix stays full: the prefix mask itself is returned
-    and nothing is stored, and sums sharing a universal prefix share one mask.
-    The values come in increasing order and acc << v sets no bit below v, so
-    once no gap is left at or above the next value, the rest of the fold
-    changes nothing; that is tested after 2, 4, 8, ... values.
+    wider bound returns that mask shifted right to [0, bound]: no value is
+    negative.  A single family sets its values' bits in a bytearray of
+    bound/8 bytes, as shifting {0} right by each value would build a
+    (bound + 1)-bit int per value.  Otherwise the last family's values are
+    folded onto the prefix mask by right shifts, and the result replaces
+    the tuple's entry.  Every family reaches 0, so a full prefix stays full:
+    the prefix mask itself is returned and nothing is stored, and sums
+    sharing a universal prefix share one mask.  The values come in
+    increasing order and acc >> v sets no bit for a value below v, so once
+    the low bound - u + 1 bits are all set, u the next value, the rest of
+    the fold changes nothing; that is tested after 2, 4, 8, ... values.
     """
-    if not families:
-        return 1
     stored = _masks.get(families)
     if stored is not None and stored[0] >= bound:
         widest, mask = stored
-        return mask if widest == bound else mask & ((1 << (bound + 1)) - 1)
-    acc = _prefix_mask(families[:-1], bound)
-    full = (1 << (bound + 1)) - 1
-    if acc == full:
-        return acc
+        return mask if widest == bound else mask >> (widest - bound)
     a, bb, coeff = families[-1]
-    values = QuadTerm(coeff, a, -bb).values_upto(bound)
-    shifted = 0
-    check = 2
-    for n, v in enumerate(values, 1):
-        shifted |= acc << v
-        if n == check and n < len(values):
-            if not (full & ~shifted) >> values[n]:
-                break
-            check *= 2
-    mask = shifted & full
+    if len(families) == 1:
+        flags = bytearray(bound // 8 + 1)
+        for v in QuadTerm(coeff, a, -bb).values_upto(bound):
+            i = bound - v
+            flags[i >> 3] |= 1 << (i & 7)
+        mask = int.from_bytes(flags, "little")
+    else:
+        acc = _prefix_mask(families[:-1], bound)
+        if acc.bit_count() > bound:  # all bound + 1 bits set
+            return acc
+        values = QuadTerm(coeff, a, -bb).values_upto(bound)
+        mask = 0
+        check = 2
+        for n, v in enumerate(values, 1):
+            mask |= acc >> v
+            if n == check and n < len(values):
+                low = (1 << (bound - values[n] + 1)) - 1
+                if mask & low == low:
+                    break
+                check *= 2
     if families not in _masks and len(_masks) >= _MAX_MASKS:
         del _masks[next(iter(_masks))]
     _masks[families] = (bound, mask)
@@ -180,29 +194,37 @@ def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
 
 
 def sum_value_mask(s: PolygonalSum, bound: int) -> int:
-    """Bitmask of representable integers in [0, bound].
+    """Top-aligned mask of the representable integers in [0, bound].
 
-    Spellings with the same family keys (permuted, rescaled, or p6 for p3)
-    share one mask, and sums sharing a prefix of sum_families share its folds.
+    Bit i is set when bound - i is a value of s.  Spellings with the same
+    family keys (permuted, rescaled, or p6 for p3) share one mask, and sums
+    sharing a prefix of sum_families share its folds.
     """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     return _prefix_mask(sum_families(s), bound)
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _mask_bits(mask: int) -> list[int]:
-    """Positions of the set bits of a nonnegative mask, increasing."""
-    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
-    return list(compress(range(len(flags)), flags))
+def _mask_bits(mask: int, bound: int) -> list[int]:
+    """The values bound - i of the set bits i of a top-aligned mask, increasing.
+
+    Only the digits from the highest to the lowest set bit are scanned.
+    """
+    if not mask:
+        return []
+    low = (mask & -mask).bit_length() - 1
+    flags = bin(mask >> low)[2:].encode().translate(_BIT_FLAGS)
+    start = bound + 1 - mask.bit_length()
+    return list(compress(range(start, start + len(flags)), flags))
 
 
 def certify_universal(s: PolygonalSum, bound: int) -> UniversalityVerdict:
     """Sieve every integer in [0, bound]; the verdict keeps the gap mask."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    full = (1 << (bound + 1)) - 1
-    return UniversalityVerdict(bound, full & ~sum_value_mask(s, bound))
+    mask = sum_value_mask(s, bound)  # rejects a bound below 1 before any shift
+    return UniversalityVerdict(bound, ((1 << (bound + 1)) - 1) ^ mask)
 
 
 def equivalent_upto(
@@ -211,14 +233,12 @@ def equivalent_upto(
     """Set equality of the two value sets within [0, bound].
 
     Returns (True, None) or (False, w) with w the least witness present in
-    exactly one of the sets.
+    exactly one of the sets: the highest set bit of the masks' difference.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     diff = sum_value_mask(s1, bound) ^ sum_value_mask(s2, bound)
     if diff == 0:
         return True, None
-    return False, (diff & -diff).bit_length() - 1
+    return False, bound - (diff.bit_length() - 1)
 
 
 def reduce_term(term: QuadTerm) -> QuadTerm:

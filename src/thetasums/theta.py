@@ -23,6 +23,8 @@ ThetaAtom(1, 3) == (1, 3).
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
+from math import isqrt
 
 from .series import Series
 
@@ -105,17 +107,33 @@ def canonicalize(term: ProductTerm) -> ProductTerm:
     return ProductTerm(mult, term.shift, tuple(atoms))
 
 
+def _last_index(i: int, j: int, limit: int) -> int:
+    """Largest n >= 0 with i*n(n+1)/2 + j*n(n-1)/2 <= limit, for limit >= 0.
+
+    The exponent is ((i+j)n^2 + (i-j)n)/2, so n is the floor of the larger
+    root of (i+j)x^2 + (i-j)x = 2*limit.  Taking isqrt of the discriminant
+    loses nothing: with d and 2(i+j) integers, floor((floor(r) - d) / m)
+    equals floor((r - d) / m).
+    """
+    s, d = i + j, i - j
+    return (isqrt(d * d + 8 * s * limit) - d) // (2 * s)
+
+
 def atom_exponents(i: int, j: int, limit: int) -> list[int]:
     """Every exponent i*n(n+1)/2 + j*n(n-1)/2 <= limit, n over all integers.
 
     Listed with multiplicity, for n = 0, 1, 2, ... and then n = -1, -2, ...;
-    each branch is nondecreasing, so it stops at its first exponent over limit.
+    each branch is nondecreasing, so it ends at its last n, found in closed
+    form.  Going from n to n + 1 adds i(n+1) + jn, and going from -m to
+    -(m+1) adds j(m+1) + im: both steps grow by i + j each time, so each
+    branch is a running sum of a range.
     """
-    out = []
-    for n, step in ((0, 1), (-1, -1)):
-        while (e := (i * n * (n + 1) + j * n * (n - 1)) // 2) <= limit:
-            out.append(e)
-            n += step
+    if limit < 0:
+        return []
+    s = i + j
+    up, down = _last_index(i, j, limit), _last_index(j, i, limit)
+    out = list(accumulate(range(i, i + s * up, s), initial=0))
+    out += accumulate(range(j, j + s * down, s))
     return out
 
 

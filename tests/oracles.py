@@ -4,8 +4,11 @@ Everything here recomputes results by a second route (schoolbook
 convolution, direct nested loops over integer variables, theta products)
 so the fast paths in the package are checked against an independent one.
 The sieve, representation_series and brute_counts/brute_missing are the
-three legs of the sieve/series/loops oracle; char_tokenize is the
-character-by-character lexer the regex scanner in dsl replaced.
+three legs of the sieve/series/loops oracle; top_aligned reads a mask of
+bitmask_sumset in the sieve's bit order by string reversal;
+stepped_atom_exponents walks each branch of a theta atom one n at a time;
+char_tokenize is the character-by-character lexer the regex scanner in dsl
+replaced.
 """
 
 from __future__ import annotations
@@ -40,6 +43,19 @@ def representation_series(s: PolygonalSum, bound: int) -> Series:
         for t in s.terms
     )
     return product_series(atoms, bound + 1)
+
+
+def stepped_atom_exponents(i: int, j: int, limit: int) -> list[int]:
+    """theta.atom_exponents by stepping n until the exponent passes limit.
+
+    n = 0, 1, 2, ... and then n = -1, -2, ..., with multiplicity.
+    """
+    out = []
+    for n, step in ((0, 1), (-1, -1)):
+        while (e := (i * n * (n + 1) + j * n * (n - 1)) // 2) <= limit:
+            out.append(e)
+            n += step
+    return out
 
 
 def reduce_term_by_divisors(term: QuadTerm) -> QuadTerm:
@@ -142,6 +158,11 @@ def bitmask_sumset(s: PolygonalSum, bound: int) -> int:
             folded |= reached << v
         reached = folded & full
     return reached
+
+
+def top_aligned(mask: int, bound: int) -> int:
+    """The same set with bit i standing for bound - i: digits reversed."""
+    return int(format(mask, f"0{bound + 1}b")[::-1], 2)
 
 
 def char_tokenize(text: str) -> list[tuple[str, SourceSpan]]:

@@ -28,6 +28,7 @@ from oracles import (
     brute_missing,
     reduce_term_by_divisors,
     representation_series,
+    top_aligned,
 )
 
 
@@ -301,6 +302,16 @@ def test_certify_and_equivalence_share_one_sieve_entry(fresh_masks, folds):
     assert folds == [(f, bound) for f in sum_families(t)]
 
 
+def test_sum_value_mask_rejects_a_bound_below_one():
+    p3 = parse_polygonal_sum("p3")
+    for bound in (0, -1, -5):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            sum_value_mask(p3, bound)
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            certify_universal(p3, bound)
+    assert sum_value_mask(p3, 1) == 0b11
+
+
 def test_equivalent_upto_rejects_a_bound_below_one():
     p3, p4 = parse_polygonal_sum("p3"), parse_polygonal_sum("p4")
     for bound in (0, -1, -2):
@@ -375,8 +386,8 @@ def test_a_mask_truncated_from_a_wider_bound_matches_a_fresh_fold(
     terms, b1, b2, wide_first
 ):
     # Whichever bound is asked first, the other is then answered from it
-    # or widens it; both must equal a fold that never stops early, and the
-    # store keeps only the masks at the wider bound.
+    # or widens it; both must equal a fold that never stops early, read
+    # top-aligned, and the store keeps only the masks at the wider bound.
     s = PolygonalSum(tuple(terms))
     families = sum_families(s)
     low, high = sorted((b1, b2))
@@ -384,7 +395,7 @@ def test_a_mask_truncated_from_a_wider_bound_matches_a_fresh_fold(
         masks = {}
         patch.setattr(polygonal, "_masks", masks)
         for bound in (high, low) if wide_first else (low, high):
-            assert _prefix_mask(families, bound) == bitmask_sumset(s, bound)
+            assert _prefix_mask(families, bound) == top_aligned(bitmask_sumset(s, bound), bound)
         assert {b for b, _ in masks.values()} == {high}
         if families in masks:
             assert masks[families][0] == high
@@ -431,7 +442,7 @@ PREFIXES = [
 @example(parse_polygonal_sum("p8 + p8 + p8").terms, [term_from_polygonal(1, 8)], 5)
 def test_folds_that_stop_early_match_a_fold_without_exit(prefix, last, bound):
     s = PolygonalSum(tuple(prefix) + tuple(last))
-    assert sum_value_mask(s, bound) == bitmask_sumset(s, bound)
+    assert sum_value_mask(s, bound) == top_aligned(bitmask_sumset(s, bound), bound)
 
 
 def test_the_last_fold_stops_once_no_gap_is_left_above_the_next_value(monkeypatch):
@@ -479,7 +490,7 @@ def test_the_mask_store_drops_its_oldest_entry_past_the_cap(fresh_masks, monkeyp
     bound = 700
     for _ in range(2):  # the second pass refolds what the cap dropped
         for s in sums:
-            assert sum_value_mask(s, bound) == bitmask_sumset(s, bound)
+            assert sum_value_mask(s, bound) == top_aligned(bitmask_sumset(s, bound), bound)
             assert len(fresh_masks) <= 4
     # The last sum, all coefficients even, has no universal prefix: its four
     # prefixes are the newest entries, and they pushed out all the others.
@@ -493,14 +504,17 @@ def test_the_mask_store_drops_its_oldest_entry_past_the_cap(fresh_masks, monkeyp
         st.integers(0, 2**5000),
         st.integers(0, 4095).map(lambda k: 1 << k),
         st.sets(st.integers(0, 5000)).map(lambda bits: sum(1 << i for i in bits)),
-    )
+    ),
+    st.integers(0, 100),
 )
-@example(0)
-@example(1)
-@example(1 << 4095)
-@example((1 << 5000) - 1)
-def test_mask_bits_matches_naive_scan(m):
-    assert _mask_bits(m) == [i for i in range(m.bit_length()) if m >> i & 1]
+@example(0, 0)
+@example(1, 0)
+@example(1 << 4095, 0)
+@example((1 << 5000) - 1, 0)
+@example((1 << 5000) - 1, 7)
+def test_mask_bits_matches_naive_scan(m, headroom):
+    bound = max(m.bit_length() - 1, 0) + headroom
+    assert _mask_bits(m, bound) == [bound - i for i in range(bound, -1, -1) if m >> i & 1]
 
 
 def test_certify_gap_list_at_a_large_bound():
@@ -529,9 +543,9 @@ def test_verdict_flag_count_and_head_come_from_the_mask(monkeypatch, capsys):
 def test_verdict_lists_the_gaps_once(monkeypatch):
     calls = []
 
-    def counted(mask):
+    def counted(mask, bound):
         calls.append(mask)
-        return _mask_bits(mask)
+        return _mask_bits(mask, bound)
 
     monkeypatch.setattr(polygonal, "_mask_bits", counted)
     verdict = certify_universal(parse_polygonal_sum("p4 + p4 + p4"), 3000)
@@ -540,6 +554,43 @@ def test_verdict_lists_the_gaps_once(monkeypatch):
     assert verdict.missing == expected
     assert verdict.missing[:7] == expected[:7] and len(verdict.missing) == len(expected)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [
+        # x^2 + 2y^2 + 5z^2 + 5w^2 misses only 15: one small gap at the top of
+        # a wide mask, and one gap at or next to its lowest bit.
+        ("p4 + 2*p4 + 5*p4 + 5*p4", 200000),
+        ("p4 + 2*p4 + 5*p4 + 5*p4", 15),
+        ("p4 + 2*p4 + 5*p4 + 5*p4", 16),
+        # Up to 200000 this sum misses only 41, 2099 and 102941; at bound
+        # 2099 its largest gap is the mask's lowest bit.
+        ("7*p3 + 7*p3 + p5 + 2*p5", 2099),
+        ("7*p3 + 7*p3 + p5 + 2*p5", 200000),
+    ],
+)
+def test_missing_matches_brute_force_at_either_end_of_the_mask(text, bound):
+    s = parse_polygonal_sum(text)
+    reached = format(bitmask_sumset(s, bound), f"0{bound + 1}b")[::-1]
+    expected = tuple(n for n, bit in enumerate(reached) if bit == "0")
+    assert expected[:2] == tuple(brute_missing(s, 2100))[:2]
+    verdict = certify_universal(s, bound)
+    assert verdict.missing == expected
+    assert verdict.head(3) == expected[:3] and verdict.missing_count == len(expected)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.lists(drawn_terms, min_size=1, max_size=3),
+    st.lists(drawn_terms, min_size=1, max_size=3),
+    st.integers(1, 600),
+)
+def test_equivalence_witness_is_the_least_differing_value(first, second, bound):
+    s, t = PolygonalSum(tuple(first)), PolygonalSum(tuple(second))
+    differ = set(brute_missing(s, bound)) ^ set(brute_missing(t, bound))
+    expected = (False, min(differ)) if differ else (True, None)
+    assert equivalent_upto(s, t, bound) == expected
 
 
 @settings(max_examples=100, deadline=None, database=None)

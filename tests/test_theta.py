@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetasums.dsl import parse_theta_expression, serialize
 from thetasums.series import Series
@@ -9,12 +11,15 @@ from thetasums.theta import (
     ThetaExpression,
     UnsupportedDissection,
     UnsupportedSplit,
+    atom_exponents,
     atom_series,
     canonicalize,
     dissect,
     expression_series,
     product_split,
 )
+
+from oracles import stepped_atom_exponents
 
 
 def test_atom_validation():
@@ -53,6 +58,28 @@ def test_atom_series_prefixes():
     assert atom_series(ThetaAtom(1, 3), 10).coeffs == (1, 1, 0, 1, 0, 0, 1, 0, 0, 0)
     assert atom_series(ThetaAtom(1, 5), 10).coeffs == (1, 1, 0, 0, 0, 1, 0, 0, 1, 0)
     assert atom_series(ThetaAtom(1, 2), 8).coeffs == (1, 1, 1, 0, 0, 1, 0, 1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.sampled_from([(0, 1), (1, 1), (1, 2), (1, 3), (1, 5), (2, 3), (3, 1), (1, 0)]),
+    st.integers(1, 12),
+    st.integers(0, 5000),
+)
+def test_atom_exponents_match_stepping_each_branch(shape, coeff, limit):
+    # (1, 0) and (3, 1) put the larger parameter first; the closed-form end
+    # of each branch must give the same list, order and multiplicity.
+    i, j = coeff * shape[0], coeff * shape[1]
+    expected = stepped_atom_exponents(i, j, limit)
+    assert atom_exponents(i, j, limit) == expected
+    coeffs = [0] * (limit + 1)
+    for e in expected:
+        coeffs[e] += 1
+    assert atom_series(ThetaAtom(i, j), limit + 1).coeffs == tuple(coeffs)
+
+
+def test_atom_exponents_below_zero_is_empty():
+    assert atom_exponents(1, 3, -1) == [] == stepped_atom_exponents(1, 3, -1)
 
 
 def test_atom_series_coefficients_nonnegative():

@@ -106,7 +106,8 @@ def test_derived_forms_keep_their_meaning():
 def test_reprs():
     assert repr(ThetaAtom(1, 5)) == "ThetaAtom(i=1, j=5)"
     assert repr(QuadTerm(2, 6, 4)) == "QuadTerm(coeff=2, a=6, b=-4)"
-    verdict = UniversalityVerdict(10, 0b1010)
+    # Top-aligned: bit 10 - n is set for each gap n.
+    verdict = UniversalityVerdict(10, 0b1010000000)
     assert repr(verdict) == "UniversalityVerdict(bound=10)"
     assert verdict.missing == (1, 3) and verdict.missing_count == 2
     assert not verdict.universal and UniversalityVerdict(10).universal
