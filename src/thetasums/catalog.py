@@ -6,8 +6,9 @@ Catalog files are plain text, one entry per block:
     field: value
     ...
 
-with a blank line between blocks and '#' comments.  Each kind allows only
-these fields:
+with a blank line between blocks and '#' comments.  A key is one word
+with no whitespace; a ref, which may be left out, is one double-quoted
+string with no '"' inside it.  Each kind allows only these fields:
 
     identity       lhs:, rhs:            theta expressions; checked by series
     decomposition  lhs:, modulus:, rhs:, base:, claims:  (claims '|'-separated)
@@ -15,8 +16,9 @@ these fields:
                                          'certify: members' certifies each sum
     base-fact      sum:                  externally known sum, re-certified
     target-sum     sum:, via:, anchor:   certified; 'via: KEY [rN]' names its
-                                         derivation, 'anchor: none' asserts
-                                         that no theorem lists the sum
+                                         derivation (rN, a residue term of a
+                                         decomposition), 'anchor: none'
+                                         asserts that no theorem lists the sum
 
 Entries parse at load time; malformed data, including a field the kind does
 not allow, is a startup failure that names its file and line.
@@ -146,6 +148,8 @@ def _parse_header(line: str, where: str) -> tuple[str, str, str]:
     if close < 0:
         raise CatalogError(f"{where}: unterminated key in {line!r}")
     key = line[1:close].strip()
+    if not re.fullmatch(r"\S+", key):
+        raise CatalogError(f"{where}: key [{key}] must be one word, with no whitespace")
     rest = line[close + 1 :].strip()
     if not rest.startswith("kind:"):
         raise CatalogError(f"{where}: missing kind in {line!r}")
@@ -154,10 +158,12 @@ def _parse_header(line: str, where: str) -> tuple[str, str, str]:
     kind = parts[0].strip()
     if kind not in FIELDS:
         raise CatalogError(f"{where}: unknown kind {kind!r}")
-    ref = ""
-    if len(parts) == 2:
-        ref = parts[1].strip().strip('"')
-    return key, kind, ref
+    if len(parts) == 1:
+        return key, kind, ""
+    ref = re.fullmatch(r'"([^"]*)"', parts[1].strip())
+    if ref is None:
+        raise CatalogError(f"{where}: ref must be one double-quoted string in {line!r}")
+    return key, kind, ref[1]
 
 
 def parse_catalog_text(text: str, where: str = "<catalog>") -> list[CatalogEntry]:
@@ -472,6 +478,8 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
             )
         return None
     if source.kind == "equivalence":
+        if len(parts) != 1:
+            return f"via {entry.via!r}: a residue term needs a decomposition"
         if any(
             sum_families(s) == sum_families(entry.target) for s in source.chain
         ):

@@ -17,12 +17,17 @@ error.  '^' binds tighter than '*' which binds tighter than '+'.  Factor
 powers expand to repeated atoms.  Serialization is canonical (single
 spacing, named atom shapes, q^1 printed as q) and parse(serialize(v)) == v
 on valid values.
+
+A token is a plain string whose kind is read off the string itself, and
+"" ends the input.  Valid text never needs a token's position: only an
+error scans the text again to find where its token starts.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import islice
 
 from .polygonal import PolygonalSum, QuadTerm, term_from_polygonal
 from .theta import ProductTerm, ThetaAtom, ThetaExpression
@@ -52,21 +57,23 @@ def _span(text: str, start: int, length: int) -> SourceSpan:
     return SourceSpan(text.count("\n", 0, start) + 1, col, col + max(length, 1) - 1)
 
 
-# A punctuation token is its own kind; BAD is any other non-space character.
-_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z]+)|[-+*^(),/~]|(?P<BAD>\S)")
-Token = namedtuple("Token", "kind text start")
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z]+|[-+*^(),/~]")
+# Any non-space character that starts no token.
+_BAD = re.compile(r"[^\s0-9A-Za-z+\-*^(),/~]")
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of text, then an EOF token at its end."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup or m[0]
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {m[0]!r}", _span(text, m.start(), 1))
-        tokens.append(Token(kind, m[0], m.start()))
-    tokens.append(Token("EOF", "", len(text)))
-    return tokens
+def tokenize(text: str) -> list[str]:
+    """The token strings of text, then "" for its end."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", _span(text, bad.start(), 1))
+    return _TOKEN.findall(text) + [""]
+
+
+def _token_start(text: str, index: int) -> int:
+    """Offset in text of token index of tokenize(text); the end token's is len(text)."""
+    m = next(islice(_TOKEN.finditer(text), index, None), None)
+    return len(text) if m is None else m.start()
 
 
 class _Parser:
@@ -75,48 +82,43 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token index at, by default the current token."""
+        at = self.pos if at is None else at
+        start = _token_start(self.text, at)
+        return ParseError(message, _span(self.text, start, len(self.tokens[at])))
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.current
-        return ParseError(message, _span(self.text, tok.start, len(tok.text)))
-
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.current
-        if tok.kind == kind and (text is None or tok.text == text):
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos] == text:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect(self, kind: str, what: str, text: str | None = None) -> Token:
-        tok = self.accept(kind, text)
-        if tok is None:
-            raise self.error(f"expected {what}, found {self.current.text!r}")
-        return tok
+    def expect(self, text: str, what: str) -> None:
+        if not self.accept(text):
+            raise self.error(f"expected {what}, found {self.tokens[self.pos]!r}")
 
     def expect_int(self, what: str) -> int:
-        tok = self.expect("INT", what)
+        tok = self.tokens[self.pos]
+        if not tok.isdigit():
+            raise self.error(f"expected {what}, found {tok!r}")
+        self.pos += 1
         try:
-            return int(tok.text)
+            return int(tok)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise self.error(f"{what} has too many digits", tok) from None
-
-    def done(self) -> bool:
-        return self.current.kind == "EOF"
+            raise self.error(f"{what} has too many digits", self.pos - 1) from None
 
     # -- theta grammar -----------------------------------------------------
 
     def qpow(self) -> int:
-        self.expect("NAME", "q", "q")
+        self.expect("q", "q")
         return self.expect_int("exponent") if self.accept("^") else 1
 
     def atom(self) -> ThetaAtom:
-        tok = self.current
-        if tok.kind != "NAME":
-            raise self.error(f"expected an atom, found {tok.text!r}")
-        name = tok.text
+        at = self.pos
+        name = self.tokens[at]
+        if not name.isalpha():
+            raise self.error(f"expected an atom, found {name!r}")
         if name == "f":
             self.pos += 1
             self.expect("(", "'('")
@@ -125,7 +127,7 @@ class _Parser:
             j = self.qpow()
             self.expect(")", "')'")
             if i + j < 1:
-                raise self.error("atom f(1, 1) has no series", tok)
+                raise self.error("atom f(1, 1) has no series", at)
             return ThetaAtom(i, j)
         if name in _SHAPES:
             self.pos += 1
@@ -133,20 +135,20 @@ class _Parser:
             n = self.qpow()
             self.expect(")", "')'")
             if n < 1:
-                raise self.error(f"{name} needs a positive power of q", tok)
+                raise self.error(f"{name} needs a positive power of q", at)
             return ThetaAtom(n, _SHAPES[name] * n)
         raise self.error(f"unknown atom name {name!r}")
 
     def theta_term(self) -> ProductTerm:
         multiplier = 1
         shift = 0
-        tok = self.current
-        if tok.kind == "INT":
+        at = self.pos
+        if self.tokens[at].isdigit():
             multiplier = self.expect_int("multiplier")
             if multiplier < 1:
-                raise self.error("multiplier must be >= 1", tok)
+                raise self.error("multiplier must be >= 1", at)
             self.expect("*", "'*' after multiplier")
-        if self.accept("NAME", "q"):
+        if self.accept("q"):
             shift = self.expect_int("shift exponent") if self.accept("^") else 1
             self.expect("*", "'*' after q-power prefactor")
         atoms: list[ThetaAtom] = []
@@ -154,10 +156,10 @@ class _Parser:
             a = self.atom()
             power = 1
             if self.accept("^"):
-                ptok = self.current
+                at = self.pos
                 power = self.expect_int("power")
                 if power < 1:
-                    raise self.error("atom power must be >= 1", ptok)
+                    raise self.error("atom power must be >= 1", at)
             atoms.extend([a] * power)
             if not self.accept("*"):
                 break
@@ -165,11 +167,9 @@ class _Parser:
 
     def theta_expression(self) -> ThetaExpression:
         # A bare "0" denotes the empty (zero) expression.
-        if self.current.kind == "INT" and self.current.text == "0":
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "EOF":
-                self.pos += 1
-                return ThetaExpression(())
+        if self.tokens[self.pos:] == ["0", ""]:
+            self.pos += 1
+            return ThetaExpression(())
         terms = [self.theta_term()]
         while self.accept("+"):
             terms.append(self.theta_term())
@@ -179,26 +179,27 @@ class _Parser:
 
     def quad_term(self) -> QuadTerm:
         coeff = 1
-        tok = self.current
-        if tok.kind == "INT":
+        at = self.pos
+        if self.tokens[at].isdigit():
             coeff = self.expect_int("coefficient")
             if coeff < 1:
-                raise self.error("coefficient must be >= 1", tok)
+                raise self.error("coefficient must be >= 1", at)
             self.expect("*", "'*' after coefficient")
-        name = self.current
-        if name.kind != "NAME":
-            raise self.error(f"expected a term, found {name.text!r}")
-        if name.text == "p":
+        at = self.pos
+        name = self.tokens[at]
+        if not name.isalpha():
+            raise self.error(f"expected a term, found {name!r}")
+        if name == "p":
             self.pos += 1
             m = self.expect_int("polygonal order")
             if m < 3:
-                raise self.error(f"polygonal order {m} < 3", name)
+                raise self.error(f"polygonal order {m} < 3", at)
             return term_from_polygonal(coeff, m)
-        if name.text == "x":
+        if name == "x":
             self.pos += 1
             self.expect("(", "'('")
             a = self.expect_int("quadratic parameter")
-            self.expect("NAME", "x", "x")
+            self.expect("x", "x")
             if self.accept("+"):
                 b = self.expect_int("linear parameter")
             elif self.accept("-"):
@@ -207,14 +208,13 @@ class _Parser:
                 b = 0
             self.expect(")", "')'")
             self.expect("/", "'/2'")
-            half = self.current
             if self.expect_int("denominator 2") != 2:
-                raise self.error("denominator must be 2", half)
+                raise self.error("denominator must be 2", self.pos - 1)
             try:
                 return QuadTerm(coeff, a, b)
             except ValueError as exc:
-                raise self.error(str(exc), name) from None
-        raise self.error(f"unknown term {name.text!r}")
+                raise self.error(str(exc), at) from None
+        raise self.error(f"unknown term {name!r}")
 
     def polygonal_sum(self) -> PolygonalSum:
         terms = [self.quad_term()]
@@ -230,8 +230,8 @@ class _Parser:
 
 
 def _finish(parser: _Parser, value):
-    if not parser.done():
-        raise parser.error(f"trailing input {parser.current.text!r}")
+    if parser.tokens[parser.pos]:
+        raise parser.error(f"trailing input {parser.tokens[parser.pos]!r}")
     return value
 
 

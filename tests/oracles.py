@@ -7,8 +7,9 @@ The sieve, representation_series and brute_counts/brute_missing are the
 three legs of the sieve/series/loops oracle; top_aligned reads a mask of
 bitmask_sumset in the sieve's bit order by string reversal;
 stepped_atom_exponents walks each branch of a theta atom one n at a time;
-char_tokenize is the character-by-character lexer the regex scanner in dsl
-replaced.
+char_tokenize is a character-by-character lexer that gives each token's
+span as it scans, checked against dsl.tokenize's plain strings with the
+spans that dsl's error path finds by scanning again.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def char_tokenize(text: str) -> list[tuple[str, SourceSpan]]:
     One character at a time: runs of isdigit() or isalpha() characters,
     single punctuation characters, '\\n' starts a new line and any other
     isspace() character is skipped.  It agrees with dsl.tokenize on ASCII
-    text only, since isdigit() and isalpha() also accept other scripts.
+    text and whitespace only, since isdigit() and isalpha() also accept
+    other scripts.
     """
     tokens = []
     line, col = 1, 1

@@ -132,13 +132,37 @@ def test_a_modulus_not_in_ascii_digits_fails_at_its_line(modulus):
             "[x] kind: identity\nlhs phi(q)",
             "<catalog>:2: expected 'field: value', got 'lhs phi(q)'",
         ),
+        ("\n[] kind: base-fact", "<catalog>:2: key [] must be one word, with no whitespace"),
+        ("[  ] kind: base-fact", "<catalog>:1: key [] must be one word, with no whitespace"),
+        ("[a b] kind: base-fact", "<catalog>:1: key [a b] must be one word, with no whitespace"),
+        (
+            "[a\u2003b] kind: base-fact",
+            "<catalog>:1: key [a\u2003b] must be one word, with no whitespace",
+        ),
+    ]
+    + [
+        (header, f"<catalog>:1: ref must be one double-quoted string in {header!r}")
+        for header in (
+            f"[x] kind: base-fact ref: {ref}"
+            for ref in ['"x" extra', "x", '"x', 'x"', '"a"b"', '"x" "y"']
+        )
     ],
-    ids=["unterminated-key", "missing-kind", "unknown-kind", "outside-entry", "no-colon"],
+    ids=[
+        "unterminated-key", "missing-kind", "unknown-kind", "outside-entry", "no-colon",
+        "empty-key", "blank-key", "key-with-space", "key-with-em-space",
+        "ref-trailing-text", "ref-unquoted", "ref-unclosed", "ref-unopened",
+        "ref-inner-quote", "ref-two-strings",
+    ],
 )
 def test_line_level_errors_name_their_line(text, message):
     with pytest.raises(CatalogError) as info:
         parse_catalog_text(text)
     assert str(info.value) == message
+
+
+def test_a_ref_is_read_between_its_quotes():
+    text = '[x] kind: base-fact ref:  "(2.8), p. 3"  \nsum: p3\n\n[y] kind: base-fact\nsum: p4'
+    assert [e.ref for e in parse_catalog_text(text)] == ["(2.8), p. 3", ""]
 
 
 @pytest.mark.parametrize(
@@ -217,6 +241,22 @@ def test_every_via_resolves(catalog):
         if entry.via:
             source_key = entry.via.split()[0]
             assert source_key in catalog.by_key, entry.key
+
+
+def test_a_residue_term_of_an_equivalence_fails_its_row(catalog):
+    # pf-q15-base is an equivalence whose chain holds p5 + 4*p5 + p8 + p8.
+    def row(via):
+        extra = parse_catalog_text(
+            f'[t] kind: target-sum ref: "x"\nsum: p5 + 4*p5 + p8 + p8\nvia: {via}'
+        )
+        return run_catalog(Catalog(catalog.entries + extra), 50, 500, keys=["t"]).rows[0]
+
+    assert row("pf-q15-base").detail == "certified universal up to 500; via pf-q15-base"
+    failed = row("pf-q15-base r7")
+    assert (failed.status, failed.detail) == (
+        "fail",
+        "via 'pf-q15-base r7': a residue term needs a decomposition",
+    )
 
 
 def test_duplicate_derivations_are_both_kept(catalog):

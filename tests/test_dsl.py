@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thetasums import dsl
+from thetasums.catalog import load_catalog
 from thetasums.dsl import (
     ParseError,
     parse_chain,
@@ -104,15 +105,44 @@ def _scan(lexer, text):
 
 
 def _regex_scan(text):
-    return [(t.text, dsl._span(text, t.start, len(t.text))) for t in dsl.tokenize(text)]
+    """dsl.tokenize's strings, each with the span its error path would report."""
+    return [
+        (tok, dsl._span(text, dsl._token_start(text, i), len(tok)))
+        for i, tok in enumerate(dsl.tokenize(text))
+    ]
 
 
 @given(
-    st.text(alphabet=string.ascii_letters + string.digits + "+-*^(),/~ \t\n")
-    | st.text(alphabet=string.printable)
+    st.text(
+        alphabet=string.ascii_letters + string.digits + "+-*^(),/~ \t\n\u2003\xa0\u2028"
+    )
+    | st.text(alphabet=string.printable + "\u2003\xa0\u2028")
 )
 def test_the_regex_scanner_matches_the_character_lexer(text):
     assert _scan(_regex_scan, text) == _scan(char_tokenize, text)
+
+
+def test_every_packaged_field_scans_as_the_character_lexer_does(catalog):
+    # Claims are '|'-separated; the catalog parses each part on its own.
+    texts = [
+        text
+        for entry in catalog.entries
+        for value in entry.fields.values()
+        for text in value.split("|")
+    ]
+    assert len(texts) == 721
+    for text in texts:
+        assert _regex_scan(text) == char_tokenize(text), text
+
+
+def test_valid_text_never_looks_for_a_token_start(monkeypatch):
+    def no_rescan(text, index):
+        raise AssertionError("token start computed for valid text")
+
+    monkeypatch.setattr(dsl, "_token_start", no_rescan)
+    assert len(load_catalog()) == 363
+    with pytest.raises(AssertionError, match="valid text"):
+        parse_theta_expression("phi(q")
 
 
 def test_parse_polygonal_sums():
