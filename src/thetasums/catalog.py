@@ -102,8 +102,10 @@ class CatalogEntry:
         target: PolygonalSum | None = None,
         via: str | None = None,
         anchor: str | None = None,
+        where: str = "",
     ):
         self.key, self.kind, self.ref, self.fields = key, kind, ref, fields
+        self.where = where  # file:line of the header
         self.lhs, self.rhs, self.decomposition = lhs, rhs, decomposition
         self.base, self.claims, self.chain = base, claims, chain
         self.target, self.via, self.anchor = target, via, anchor
@@ -116,12 +118,23 @@ class Catalog:
         self.entries = entries
         self.by_key: dict[str, CatalogEntry] = {}
         for e in entries:
-            if e.key in self.by_key:
-                raise CatalogError(f"duplicate catalog key {e.key!r}")
+            if (first := self.by_key.get(e.key)) is not None:
+                raise CatalogError(
+                    f"{e.where}: duplicate catalog key {e.key!r}, first at {first.where}"
+                )
             self.by_key[e.key] = e
 
     def of_kind(self, kind: str) -> list[CatalogEntry]:
         return [e for e in self.entries if e.kind == kind]
+
+    @cached_property
+    def lemmas(self) -> tuple:
+        """(key, lhs, rhs) of the single-product identities, not yet checked."""
+        return tuple(
+            (e.key, e.lhs.terms[0], e.rhs)
+            for e in self.of_kind("identity")
+            if len(e.lhs.terms) == 1
+        )
 
     @cached_property
     def theorem_anchors(self) -> dict[tuple, str]:
@@ -177,7 +190,7 @@ def parse_catalog_text(text: str, where: str = "<catalog>") -> list[CatalogEntry
         loc = f"{where}:{lineno}"
         if line.startswith("["):
             key, kind, ref = _parse_header(line, loc)
-            entries.append(CatalogEntry(key, kind, ref, {}))
+            entries.append(CatalogEntry(key, kind, ref, {}, where=loc))
             lines.append({"": lineno})
             continue
         if not entries:
@@ -299,15 +312,6 @@ def _check_identity(entry: CatalogEntry, order: int) -> Row:
     return Row(entry.key, entry.kind, "pass" if outcome.ok else "fail", outcome.detail)
 
 
-def _lemmas(catalog: Catalog) -> tuple:
-    """(key, lhs, rhs) of the single-product identities, not yet checked."""
-    return tuple(
-        (e.key, e.lhs.terms[0], e.rhs)
-        for e in catalog.of_kind("identity")
-        if len(e.lhs.terms) == 1
-    )
-
-
 def _match_claims(
     rhs_sums: tuple[PolygonalSum, ...], claims: tuple[PolygonalSum, ...]
 ) -> str | None:
@@ -349,7 +353,7 @@ def _check_decomposition(
     entry: CatalogEntry, order: int, bound: int, catalog: Catalog
 ) -> Row:
     d = entry.decomposition
-    outcome = _verified_decomposition(d, order, _lemmas(catalog))
+    outcome = _verified_decomposition(d, order, catalog.lemmas)
     if not outcome.ok:
         return Row(entry.key, entry.kind, "fail", outcome.detail)
     lhs_sum, rhs_sums = derive_sums(d)
@@ -465,7 +469,7 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
         if len(parts) != 2:
             return f"via {entry.via!r} needs a residue term like 'r2'"
         idx = int(parts[1][1:]) - 1
-        outcome = _verified_decomposition(source.decomposition, order, _lemmas(catalog))
+        outcome = _verified_decomposition(source.decomposition, order, catalog.lemmas)
         if not outcome.ok:
             return f"deriving identity {parts[0]} failed: {outcome.detail}"
         _lhs_sum, rhs_sums = derive_sums(source.decomposition)

@@ -24,10 +24,12 @@ a value below v, so no later value can fill a gap.  Every value is >= 0, so
 a mask at bound b is the same families' mask at any wider bound w shifted
 right by w - b: one store, _masks, keeps only the widest mask folded for
 each family tuple, and a request below that bound is answered by that
-shift, not by a fold.  Verdicts are not cached: certify_universal keeps the
-gaps of the mask as a top-aligned mask, counted by bit_count, and lists
-them in one linear scan of its binary digits only when the full list is
-read.
+shift, not by a fold.  A universal tuple, whose mask is full at that bound,
+is kept as its bound alone and read at b as b + 1 one bits, so the store
+holds bound/8 bytes for each non-full entry only.  Verdicts are not
+cached: certify_universal keeps the gaps of the mask as a top-aligned
+mask, counted by bit_count, and lists them in one linear scan of its
+binary digits only when the full list is read.
 
 QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
 same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
@@ -141,8 +143,10 @@ def term_from_polygonal(coeff: int, m: int) -> QuadTerm:
 
 
 # The widest mask folded for each family tuple, as (bound, mask), oldest
-# key first; a new key past _MAX_MASKS drops the oldest.
-_masks: dict[tuple[tuple[int, int, int], ...], tuple[int, int]] = {}
+# key first; a new key past _MAX_MASKS drops the oldest.  A tuple whose
+# mask is full at that bound, a universal sum, keeps (bound, None), so
+# only the non-full entries hold bound/8 bytes each.
+_masks: dict[tuple[tuple[int, int, int], ...], tuple[int, int | None]] = {}
 _MAX_MASKS = 4096
 
 
@@ -151,20 +155,24 @@ def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
 
     A tuple stored at this bound returns the stored mask, and one stored at a
     wider bound returns that mask shifted right to [0, bound]: no value is
-    negative.  A single family sets its values' bits in a bytearray of
-    bound/8 bytes, as shifting {0} right by each value would build a
-    (bound + 1)-bit int per value.  Otherwise the last family's values are
-    folded onto the prefix mask by right shifts, and the result replaces
-    the tuple's entry.  Every family reaches 0, so a full prefix stays full:
-    the prefix mask itself is returned and nothing is stored, and sums
-    sharing a universal prefix share one mask.  The values come in
+    negative.  A tuple stored as full returns bound + 1 one bits.  A single
+    family sets its values' bits in a bytearray of bound/8 bytes, as
+    shifting {0} right by each value would build a (bound + 1)-bit int per
+    value.  Otherwise the last family's values are folded onto the prefix
+    mask by right shifts.  Every family reaches 0, so the extension of a
+    prefix stored as full is full, with nothing folded.  The values come in
     increasing order and acc >> v sets no bit for a value below v, so once
     the low bound - u + 1 bits are all set, u the next value, the rest of
-    the fold changes nothing; that is tested after 2, 4, 8, ... values.
+    the fold changes nothing; that is tested after 2, 4, 8, ... values, and
+    a prefix that is full only once truncated to this bound stops at the
+    first test.  The result replaces the tuple's entry, as None when it is
+    full.
     """
     stored = _masks.get(families)
     if stored is not None and stored[0] >= bound:
         widest, mask = stored
+        if mask is None:
+            return (1 << (bound + 1)) - 1
         return mask if widest == bound else mask >> (widest - bound)
     a, bb, coeff = families[-1]
     if len(families) == 1:
@@ -174,22 +182,21 @@ def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
             flags[i >> 3] |= 1 << (i & 7)
         mask = int.from_bytes(flags, "little")
     else:
-        acc = _prefix_mask(families[:-1], bound)
-        if acc.bit_count() > bound:  # all bound + 1 bits set
-            return acc
-        values = QuadTerm(coeff, a, -bb).values_upto(bound)
-        mask = 0
-        check = 2
-        for n, v in enumerate(values, 1):
-            mask |= acc >> v
-            if n == check and n < len(values):
-                low = (1 << (bound - values[n] + 1)) - 1
-                if mask & low == low:
-                    break
-                check *= 2
+        mask = acc = _prefix_mask(families[:-1], bound)
+        if _masks[families[:-1]][1] is not None:  # else the prefix is full, and so is mask
+            values = QuadTerm(coeff, a, -bb).values_upto(bound)
+            mask = 0
+            check = 2
+            for n, v in enumerate(values, 1):
+                mask |= acc >> v
+                if n == check and n < len(values):
+                    low = (1 << (bound - values[n] + 1)) - 1
+                    if mask & low == low:
+                        break
+                    check *= 2
     if families not in _masks and len(_masks) >= _MAX_MASKS:
         del _masks[next(iter(_masks))]
-    _masks[families] = (bound, mask)
+    _masks[families] = (bound, None if mask.bit_count() > bound else mask)
     return mask
 
 

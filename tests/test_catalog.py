@@ -160,6 +160,27 @@ def test_line_level_errors_name_their_line(text, message):
     assert str(info.value) == message
 
 
+def test_a_repeated_key_names_both_places(tmp_path):
+    (tmp_path / "a.cat").write_text("[x] kind: base-fact\nsum: p3 + p3 + p3\n")
+    (tmp_path / "b.cat").write_text("# again\n\n[x] kind: base-fact\nsum: p4 + p4 + p4 + p4\n")
+    with pytest.raises(CatalogError) as info:
+        load_catalog(tmp_path)
+    assert str(info.value) == "b.cat:3: duplicate catalog key 'x', first at a.cat:1"
+
+
+def test_the_lemmas_are_collected_once_per_catalog(catalog, monkeypatch):
+    fresh = Catalog(catalog.entries)
+    kinds = []
+    of_kind = Catalog.of_kind
+    monkeypatch.setattr(
+        Catalog, "of_kind", lambda self, kind: kinds.append(kind) or of_kind(self, kind)
+    )
+    report = run_catalog(fresh, order=200, bound=2000, kinds=("decomposition", "target-sum"))
+    assert report.ok
+    assert kinds == ["identity"]
+    assert fresh.lemmas is fresh.lemmas
+
+
 def test_a_ref_is_read_between_its_quotes():
     text = '[x] kind: base-fact ref:  "(2.8), p. 3"  \nsum: p3\n\n[y] kind: base-fact\nsum: p4'
     assert [e.ref for e in parse_catalog_text(text)] == ["(2.8), p. 3", ""]
@@ -413,7 +434,7 @@ def test_a_wrong_rhs_has_no_derivation_and_fails_with_the_series_witness(
     assert BROKEN_Q1_TEXT[fault] != Q1_TEXT
     catalog = _with_identities(BROKEN_Q1_TEXT[fault])
     d = catalog.by_key["Q1"].decomposition
-    assert derive_decomposition(d, catalog_module._lemmas(catalog)) is None
+    assert derive_decomposition(d, catalog.lemmas) is None
     row = run_catalog(catalog, order=200, bound=500, keys=["Q1"]).rows[0]
     assert row.status == "fail"
     assert row.detail == verify_decomposition(d, 200).detail

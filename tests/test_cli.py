@@ -223,6 +223,16 @@ def test_reproduce_catalog_option(tmp_path, capsys):
     assert "1 passed, 0 failed" in out
 
 
+def test_a_repeated_key_across_files_exits_2(tmp_path, capsys):
+    (tmp_path / "a.cat").write_text('[x] kind: base-fact ref: "x"\nsum: p3 + p3 + p3\n')
+    (tmp_path / "b.cat").write_text('\n[x] kind: base-fact ref: "x"\nsum: p4 + p4 + p4 + p4\n')
+    code, out, err = run(capsys, "reproduce", "all", "--catalog", str(tmp_path),
+                         "--bound", "2000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: b.cat:2: duplicate catalog key 'x', first at a.cat:1\n"
+
+
 @pytest.mark.parametrize(
     "command, catalog, message",
     [

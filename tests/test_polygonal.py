@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetasums import polygonal
+from thetasums.catalog import run_catalog
 from thetasums.cli import main as cli_main
 from thetasums.dsl import parse_polygonal_sum
 from thetasums.polygonal import (
@@ -292,6 +293,24 @@ def folds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def values_read(monkeypatch):
+    """Every family value the folds read, in order."""
+    read = []
+    values_upto = QuadTerm.values_upto
+
+    class CountedValues(list):
+        def __iter__(self):
+            for v in list.__iter__(self):
+                read.append(v)
+                yield v
+
+    monkeypatch.setattr(
+        QuadTerm, "values_upto", lambda term, bound: CountedValues(values_upto(term, bound))
+    )
+    return read
+
+
 def test_certify_and_equivalence_share_one_sieve_entry(fresh_masks, folds):
     s = parse_polygonal_sum("3*p5 + 7*p8")
     t = parse_polygonal_sum("7*p5 + 3*p8")
@@ -397,24 +416,39 @@ def test_a_mask_truncated_from_a_wider_bound_matches_a_fresh_fold(
         for bound in (high, low) if wide_first else (low, high):
             assert _prefix_mask(families, bound) == top_aligned(bitmask_sumset(s, bound), bound)
         assert {b for b, _ in masks.values()} == {high}
-        if families in masks:
-            assert masks[families][0] == high
-        else:  # a universal prefix: the sum's mask is the prefix's, not stored
-            assert _prefix_mask(families[:-1], high) == (1 << (high + 1)) - 1
+        assert masks[families][0] == high
+        assert all(m is None or m.bit_count() <= b for b, m in masks.values())
 
 
-def test_a_truncated_universal_prefix_is_still_shared_by_object(fresh_masks, folds):
+def test_a_truncated_universal_prefix_folds_nothing(fresh_masks, folds):
     wide, bound = 2027, 1031
     gauss = sum_families(parse_polygonal_sum("p3 + p3 + p3"))
     assert _prefix_mask(gauss, wide) == (1 << (wide + 1)) - 1
-    stored = fresh_masks[gauss]
+    assert fresh_masks[gauss] == (wide, None)
     folds.clear()
     assert _prefix_mask(gauss, bound) == (1 << (bound + 1)) - 1
     extended = parse_polygonal_sum("p3 + p3 + p3 + p4")
     assert sum_value_mask(extended, bound) == (1 << (bound + 1)) - 1
     assert folds == []
-    assert fresh_masks[gauss] is stored and stored[0] == wide
-    assert sum_families(extended) not in fresh_masks
+    assert fresh_masks[gauss] == (wide, None)
+    assert fresh_masks[sum_families(extended)] == (bound, None)
+
+
+def test_a_prefix_full_only_once_truncated_stops_at_the_first_check(
+    fresh_masks, values_read
+):
+    # p3 + p4 + 6*p8 first misses 68, so below 68 its wide mask truncates
+    # to a full one, and the fold onto it stops after two values of 7*p8.
+    wide, bound = 3000, 67
+    prefix = parse_polygonal_sum("p3 + p4 + 6*p8")
+    s = parse_polygonal_sum("p3 + p4 + 6*p8 + 7*p8")
+    assert certify_universal(prefix, wide).head(1) == (68,)
+    stored = fresh_masks[sum_families(prefix)]
+    values_read.clear()
+    assert sum_value_mask(s, bound) == (1 << (bound + 1)) - 1
+    assert values_read == [0, 7]
+    assert fresh_masks[sum_families(s)] == (bound, None)
+    assert fresh_masks[sum_families(prefix)] is stored
 
 
 # Ternary prefixes: three universal ones, whose last fold ends in a full
@@ -445,37 +479,81 @@ def test_folds_that_stop_early_match_a_fold_without_exit(prefix, last, bound):
     assert sum_value_mask(s, bound) == top_aligned(bitmask_sumset(s, bound), bound)
 
 
-def test_the_last_fold_stops_once_no_gap_is_left_above_the_next_value(monkeypatch):
+def test_the_last_fold_stops_once_no_gap_is_left_above_the_next_value(
+    monkeypatch, values_read
+):
     # p4 + p4 + p4 misses the numbers 4^a(8b+7); a few small squares fill
     # every one of them, so the last fold reads only a handful of squares.
-    read = []
-    values_upto = QuadTerm.values_upto
-
-    class CountedValues(list):
-        def __iter__(self):
-            for v in list.__iter__(self):
-                read.append(v)
-                yield v
-
-    monkeypatch.setattr(
-        QuadTerm, "values_upto", lambda term, bound: CountedValues(values_upto(term, bound))
-    )
     families = sum_families(parse_polygonal_sum("p4 + p4 + p4 + p4"))
     bound = 100_000
     prefix = _prefix_mask(families[:-1], bound)
     assert prefix != (1 << (bound + 1)) - 1
     monkeypatch.setattr(polygonal, "_masks", {families[:-1]: (bound, prefix)})
-    read.clear()
+    values_read.clear()
     assert _prefix_mask(families, bound) == (1 << (bound + 1)) - 1
-    squares = values_upto(term_from_polygonal(1, 4), bound)
-    assert 0 < len(read) < len(squares) / 4
+    squares = term_from_polygonal(1, 4).values_upto(bound)
+    assert 0 < len(values_read) < len(squares) / 4
 
 
-def test_universal_prefix_is_shared_by_object(fresh_masks):
+def test_a_universal_prefix_is_kept_as_its_bound(fresh_masks, folds):
     bound = 1009
-    gauss = sum_value_mask(parse_polygonal_sum("p3 + p3 + p3"), bound)
-    assert gauss == (1 << (bound + 1)) - 1
-    assert sum_value_mask(parse_polygonal_sum("p3 + p3 + p3 + p4"), bound) is gauss
+    gauss = parse_polygonal_sum("p3 + p3 + p3")
+    assert sum_value_mask(gauss, bound) == (1 << (bound + 1)) - 1
+    assert fresh_masks[sum_families(gauss)] == (bound, None)
+    folds.clear()
+    extended = parse_polygonal_sum("p3 + p3 + p3 + p4")
+    assert sum_value_mask(extended, bound) == (1 << (bound + 1)) - 1
+    assert folds == []
+    assert fresh_masks[sum_families(extended)] == (bound, None)
+
+
+# Universal sums, kept as their bounds, and sums with gaps; p3 + p4 + 6*p8
+# first misses 68, so below 68 it and its extension are full.
+MIXED = [
+    parse_polygonal_sum(text)
+    for text in (
+        "p3 + p3 + p3", "p3 + p3 + p3 + p4", "p4 + p4 + p4 + p4", "p3 + p4 + 6*p8",
+        "p3 + p4 + 6*p8 + 7*p8", "p8 + p8 + p8", "p8 + p8 + p8 + 2*p8",
+        "2*p4 + 2*p4 + 2*p4 + 2*p4",
+    )
+]
+GAUSS4, GAPPED_PREFIX, GAPPED_4 = MIXED[1], MIXED[3], MIXED[4]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from(MIXED),
+                st.lists(drawn_terms, min_size=1, max_size=4).map(
+                    lambda terms: PolygonalSum(tuple(terms))
+                ),
+            ),
+            st.integers(1, 2500),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example([(GAUSS4, 2000), (GAUSS4, 300), (GAUSS4, 1)])
+@example([(GAUSS4, 1), (GAUSS4, 300), (GAUSS4, 2000)])
+@example([(GAPPED_4, 500), (GAPPED_4, 500), (GAPPED_4, 500)])
+@example([(GAPPED_PREFIX, 2500), (GAPPED_4, 67), (GAPPED_4, 68), (GAPPED_4, 2500)])
+@example([(GAPPED_4, 67), (GAPPED_PREFIX, 2500), (GAPPED_4, 2000), (GAPPED_PREFIX, 67)])
+def test_sums_asked_at_mixed_bounds_match_a_fresh_fold(requests):
+    with pytest.MonkeyPatch.context() as patch:
+        masks = {}
+        patch.setattr(polygonal, "_masks", masks)
+        for s, bound in requests:
+            assert sum_value_mask(s, bound) == top_aligned(bitmask_sumset(s, bound), bound)
+        assert all(m is None or m.bit_count() <= b for b, m in masks.values())
+
+
+def test_a_catalog_run_stores_no_full_mask(catalog, fresh_masks):
+    run_catalog(catalog, order=200, bound=20000)
+    assert all(m is None or m.bit_count() <= b for b, m in fresh_masks.values())
+    assert sum(m is None for _, m in fresh_masks.values()) > 50
 
 
 def test_the_mask_store_drops_its_oldest_entry_past_the_cap(fresh_masks, monkeypatch):

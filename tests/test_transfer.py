@@ -1,7 +1,7 @@
 import pytest
 
 from thetasums import catalog as catalog_module
-from thetasums.catalog import Catalog, _lemmas, parse_catalog_text, run_catalog
+from thetasums.catalog import Catalog, parse_catalog_text, run_catalog
 from thetasums.dsl import parse_polygonal_sum, parse_theta_expression
 from thetasums.polygonal import certify_universal, sum_families
 from thetasums.theta import ProductTerm, ThetaAtom
@@ -162,7 +162,7 @@ def test_three_atom_products_use_the_same_machinery():
 def test_every_packaged_decomposition_is_derived_from_the_lemmas(catalog):
     # The series product stays the reference: each derived decomposition
     # must also pass it.
-    lemmas = _lemmas(catalog)
+    lemmas = catalog.lemmas
     assert len(lemmas) == len(catalog.of_kind("identity"))
     assert run_catalog(catalog, order=512, kinds=("identity",)).ok
     for entry in catalog.of_kind("decomposition"):
@@ -174,7 +174,7 @@ def test_every_packaged_decomposition_is_derived_from_the_lemmas(catalog):
 
 
 def test_q1_applies_eq_2_16_at_q_and_q2(catalog):
-    steps = derive_decomposition(get_decomposition(catalog, "Q1"), _lemmas(catalog))
+    steps = derive_decomposition(get_decomposition(catalog, "Q1"), catalog.lemmas)
     assert sorted(steps) == [("eq-2.16", 1), ("eq-2.16", 2)]
 
 
@@ -194,7 +194,7 @@ def test_like_terms_are_added(catalog):
         "phi(q^4)^2*Y(q^4) + {m}*q*phi(q^4)*psi(q^8)*Y(q^4)"
         " + 4*q^2*psi(q^8)^2*Y(q^4)"
     )
-    lemmas = _lemmas(catalog)
+    lemmas = catalog.lemmas
     true = Decomposition(lhs, 4, parse_theta_expression(rhs.format(m=4)).terms)
     assert derive_decomposition(true, lemmas) == (("eq-2.12", 1), ("eq-2.12", 1))
     assert verify_decomposition(true, 400).ok
