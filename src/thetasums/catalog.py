@@ -32,16 +32,17 @@ Every series check is transfer.verify_identity.  A decomposition is proved
 from the catalog it is checked in: its lhs is rewritten with the identity
 entries whose lhs is one product and whose own series check passes at the
 same order (transfer.derive_decomposition).  That check runs only for the
-lemmas a derivation uses.  Only when no derivation exists does the row
-multiply out the series (transfer.verify_decomposition), which also
-supplies the failure witness; either way a passing row reads 'verified to
-order N'.  The row then certifies the sums read off the atoms
-(transfer.derive_sums): the lhs sum up to the bound and, only once it
-passes, each rhs sum up to the largest m with k*m + shift <= bound.
-Nothing is checked at load time.
+lemmas a derivation uses.  Only when no derivation exists, or a lemma it
+uses fails, does the row multiply out the series
+(transfer.verify_decomposition), which also supplies the failure witness;
+either way a passing row reads 'verified to order N'.  The row then
+certifies the sums read off the atoms (transfer.derive_sums): the lhs sum
+up to the bound and, only once it passes, each rhs sum up to the largest
+m with k*m + shift <= bound.  Nothing is checked at load time.
 
-A Row is an immutable namedtuple; CatalogEntry, Catalog and Report are
-plain records.
+Each kind has one check, which returns (ok, detail); check_entry builds
+the entry's Row from it.  A Row is an immutable namedtuple; CatalogEntry,
+Catalog and Report are plain records.
 """
 
 from __future__ import annotations
@@ -87,28 +88,19 @@ class CatalogEntry:
     """One catalog block: its header, its raw fields and, by kind, the payloads
     parsed from them."""
 
-    def __init__(
-        self,
-        key: str,
-        kind: str,
-        ref: str,
-        fields: dict[str, str],
-        lhs: ThetaExpression | None = None,
-        rhs: ThetaExpression | None = None,
-        decomposition: Decomposition | None = None,
-        base: PolygonalSum | None = None,
-        claims: tuple[PolygonalSum, ...] = (),
-        chain: tuple[PolygonalSum, ...] = (),
-        target: PolygonalSum | None = None,
-        via: str | None = None,
-        anchor: str | None = None,
-        where: str = "",
-    ):
+    lhs: ThetaExpression | None = None
+    rhs: ThetaExpression | None = None
+    decomposition: Decomposition | None = None
+    base: PolygonalSum | None = None
+    claims: tuple[PolygonalSum, ...] = ()
+    chain: tuple[PolygonalSum, ...] = ()
+    target: PolygonalSum | None = None
+    via: str | None = None
+    anchor: str | None = None
+
+    def __init__(self, key: str, kind: str, ref: str, fields: dict[str, str], where: str = ""):
         self.key, self.kind, self.ref, self.fields = key, kind, ref, fields
         self.where = where  # file:line of the header
-        self.lhs, self.rhs, self.decomposition = lhs, rhs, decomposition
-        self.base, self.claims, self.chain = base, claims, chain
-        self.target, self.via, self.anchor = target, via, anchor
 
 
 class Catalog:
@@ -307,9 +299,11 @@ class Row(namedtuple("Row", "key kind status detail")):
         return self.status == "pass"
 
 
-def _check_identity(entry: CatalogEntry, order: int) -> Row:
+def _check_identity(
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
+) -> tuple[bool, str]:
     outcome = verify_identity(entry.lhs, entry.rhs, order)
-    return Row(entry.key, entry.kind, "pass" if outcome.ok else "fail", outcome.detail)
+    return outcome.ok, outcome.detail
 
 
 def _match_claims(
@@ -330,32 +324,29 @@ def _match_claims(
 def _verified_decomposition(d: Decomposition, order: int, lemmas: tuple) -> VerifyOutcome:
     """A derivation from lemmas that hold to order, else the series check and its witness.
 
-    A lemma's series check runs only once a derivation uses it.  A lemma
-    that fails is dropped and the search runs again without it, so the
-    outcome is that of a search over the lemmas that hold.
+    A lemma's series check runs only once a derivation uses it.  If any
+    lemma the derivation uses fails, the decomposition is series-checked.
     """
     if max(t.shift for t in d.rhs) < order:
-        while (steps := derive_decomposition(d, lemmas)) is not None:
+        steps = derive_decomposition(d, lemmas)
+        if steps is not None:
             used = {name for name, _n in steps}
-            failing = {
-                key
+            if all(
+                verify_identity(ThetaExpression((lhs,)), rhs, order).ok
                 for key, lhs, rhs in lemmas
                 if key in used
-                and not verify_identity(ThetaExpression((lhs,)), rhs, order).ok
-            }
-            if not failing:
+            ):
                 return VerifyOutcome(True, None, f"verified to order {order} (k={d.modulus})")
-            lemmas = tuple(lemma for lemma in lemmas if lemma[0] not in failing)
     return verify_decomposition(d, order)
 
 
 def _check_decomposition(
     entry: CatalogEntry, order: int, bound: int, catalog: Catalog
-) -> Row:
+) -> tuple[bool, str]:
     d = entry.decomposition
     outcome = _verified_decomposition(d, order, catalog.lemmas)
     if not outcome.ok:
-        return Row(entry.key, entry.kind, "fail", outcome.detail)
+        return False, outcome.detail
     lhs_sum, rhs_sums = derive_sums(d)
     lhs_verdict = certify_universal(lhs_sum, bound)
     # Only a certified lhs transfers: each rhs sum is certified up to the
@@ -384,74 +375,59 @@ def _check_decomposition(
             problems.append(f"lhs and base value sets differ at {witness}")
     problems += rhs_problems
     if problems:
-        return Row(entry.key, entry.kind, "fail", "; ".join(problems))
-    return Row(
-        entry.key,
-        entry.kind,
-        "pass",
-        f"verified to order {order}; transfer certified to bound {bound} (k={d.modulus})",
-    )
+        return False, "; ".join(problems)
+    return True, f"verified to order {order}; transfer certified to bound {bound} (k={d.modulus})"
 
 
-def _check_equivalence(entry: CatalogEntry, bound: int) -> Row:
+def _check_equivalence(
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
+) -> tuple[bool, str]:
     for left, right in zip(entry.chain, entry.chain[1:]):
         eq, witness = equivalent_upto(left, right, bound)
         if not eq:
-            return Row(
-                entry.key,
-                entry.kind,
-                "fail",
-                f"{sum_label(left)} vs {sum_label(right)}: differ at {witness}",
-            )
+            return False, f"{sum_label(left)} vs {sum_label(right)}: differ at {witness}"
     notes = [f"{len(entry.chain) - 1} link(s) hold to bound {bound}"]
     if entry.fields.get("certify") == "members":
         for s in entry.chain:
             verdict = certify_universal(s, bound)
             if not verdict.universal:
-                return Row(
-                    entry.key,
-                    entry.kind,
-                    "fail",
-                    f"member {sum_label(s)} missing {verdict.head(3)}",
-                )
+                return False, f"member {sum_label(s)} missing {verdict.head(3)}"
         notes.append(f"all {len(entry.chain)} members certified universal")
-    return Row(entry.key, entry.kind, "pass", "; ".join(notes))
+    return True, "; ".join(notes)
 
 
-def _check_base_fact(entry: CatalogEntry, bound: int) -> Row:
+def _check_base_fact(
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
+) -> tuple[bool, str]:
     verdict = certify_universal(entry.target, bound)
     if verdict.universal:
-        return Row(entry.key, entry.kind, "pass", f"certified universal up to {bound}")
-    return Row(
-        entry.key, entry.kind, "fail", f"missing {verdict.head(5)} up to {bound}"
-    )
+        return True, f"certified universal up to {bound}"
+    return False, f"missing {verdict.head(5)} up to {bound}"
 
 
 def _check_target(
-    entry: CatalogEntry, bound: int, catalog: Catalog, order: int
-) -> Row:
-    row = _check_base_fact(entry, bound)
-    if not row.ok:
-        return row
-    notes = [row.detail]
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
+) -> tuple[bool, str]:
+    ok, detail = _check_base_fact(entry, order, bound, catalog)
+    if not ok:
+        return ok, detail
+    notes = [detail]
     if entry.via:
         err = _check_via(entry, catalog, order)
         if err:
-            return Row(entry.key, entry.kind, "fail", err)
+            return False, err
         notes.append(f"via {entry.via}")
     if entry.anchor is not None or not entry.via:
         hit = catalog.theorem_anchors.get(sum_families(entry.target))
         if entry.anchor == "none":
             if hit:
-                return Row(
-                    entry.key, entry.kind, "fail", f"unexpected theorem anchor {hit}"
-                )
+                return False, f"unexpected theorem anchor {hit}"
             notes.append("no theorem anchor (known source discrepancy)")
         elif hit is None:
-            return Row(entry.key, entry.kind, "fail", "no theorem list contains this sum")
+            return False, "no theorem list contains this sum"
         else:
             notes.append(f"anchored at {hit}")
-    return Row(entry.key, entry.kind, "pass", "; ".join(notes))
+    return True, "; ".join(notes)
 
 
 def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
@@ -492,18 +468,24 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
     return f"via {entry.via!r} must name a decomposition or equivalence"
 
 
+_CHECKS = {
+    "identity": _check_identity,
+    "decomposition": _check_decomposition,
+    "equivalence": _check_equivalence,
+    "base-fact": _check_base_fact,
+    "target-sum": _check_target,
+}
+
+
 def check_entry(entry: CatalogEntry, order: int, bound: int, catalog: Catalog) -> Row:
-    if entry.kind == "identity":
-        return _check_identity(entry, order)
-    if entry.kind == "decomposition":
-        return _check_decomposition(entry, order, bound, catalog)
-    if entry.kind == "equivalence":
-        return _check_equivalence(entry, bound)
-    if entry.kind == "base-fact":
-        return _check_base_fact(entry, bound)
-    if entry.kind == "target-sum":
-        return _check_target(entry, bound, catalog, order)
-    raise CatalogError(f"unknown kind {entry.kind!r}")
+    check = _CHECKS.get(entry.kind)
+    if check is None:
+        raise CatalogError(f"unknown kind {entry.kind!r}")
+    ok, detail = check(entry, order, bound, catalog)
+    return Row(entry.key, entry.kind, "pass" if ok else "fail", detail)
+
+
+SCHEMA = "thetasums-report/1"
 
 
 class Report:
@@ -526,7 +508,7 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "thetasums-report/1",
+            "schema": SCHEMA,
             "config": {"order": self.order, "bound": self.bound},
             "summary": {"pass": self.passed, "fail": self.failed},
             "rows": [

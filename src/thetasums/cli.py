@@ -4,7 +4,9 @@ Subcommands: expand (series coefficients of a theta expression), verify
 (catalog identities and decompositions), universal (bounded certification
 of a polygonal sum), equiv (value-set comparison), and reproduce (one-shot
 theorem reports).  Exit codes: 0 success, 1 a check failed, 2 usage or
-parse error.  All bounded results are printed with their bound.
+parse error.  A usage or parse error is one 'error: <message>' line on
+stderr, with nothing on stdout.  All bounded results are printed with
+their bound.
 """
 
 from __future__ import annotations
@@ -72,23 +74,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class UsageError(ValueError):
+    """An argument value out of range."""
 
 
 def cmd_expand(args) -> int:
-    try:
-        expr = dsl.parse_theta_expression(args.expression)
-    except dsl.ParseError as exc:
-        return _fail_usage(str(exc))
+    expr = dsl.parse_theta_expression(args.expression)
     if args.order < 2:
-        return _fail_usage("order must be >= 2")
+        raise UsageError("order must be >= 2")
     series = expression_series(expr, args.order)
     pairs = series.nonzero()
     if args.format == "report":
         print(json.dumps({
-            "schema": "thetasums-report/1",
+            "schema": cat.SCHEMA,
             "config": {"order": args.order},
             "expression": dsl.serialize(expr),
             "coefficients": pairs,
@@ -98,16 +96,13 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _load_catalog_arg(path):
-    try:
-        return cat.load_catalog(path)
-    except cat.CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def _emit_report(report: cat.Report, fmt: str) -> int:
-    if fmt == "report":
+def _run_catalog(args, select) -> int:
+    """Check the catalog entries whose keys select(catalog) lists, and print the report."""
+    if args.order < 2 or args.bound < 1:
+        raise UsageError("need order >= 2 and bound >= 1")
+    catalog = cat.load_catalog(args.catalog)
+    report = cat.run_catalog(catalog, order=args.order, bound=args.bound, keys=select(catalog))
+    if args.format == "report":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         for row in report.rows:
@@ -117,37 +112,23 @@ def _emit_report(report: cat.Report, fmt: str) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _run_selected(catalog: cat.Catalog, keys: list[str], args) -> int:
-    try:
-        report = cat.run_catalog(catalog, order=args.order, bound=args.bound, keys=keys)
-    except cat.CatalogError as exc:
-        return _fail_usage(str(exc))
-    return _emit_report(report, args.format)
-
-
 def cmd_verify(args) -> int:
-    if args.order < 2 or args.bound < 1:
-        return _fail_usage("need order >= 2 and bound >= 1")
-    catalog = _load_catalog_arg(args.catalog)
-    if catalog is None:
-        return EXIT_USAGE
-    keys = list(args.keys)
-    if keys == ["all"]:
-        keys = [e.key for e in catalog.entries if e.kind in ("identity", "decomposition")]
-    return _run_selected(catalog, keys, args)
+    def select(catalog):
+        if args.keys == ["all"]:
+            return [e.key for e in catalog.entries if e.kind in ("identity", "decomposition")]
+        return args.keys
+
+    return _run_catalog(args, select)
 
 
 def cmd_universal(args) -> int:
-    try:
-        s = dsl.parse_polygonal_sum(args.sum)
-    except dsl.ParseError as exc:
-        return _fail_usage(str(exc))
+    s = dsl.parse_polygonal_sum(args.sum)
     if args.bound < 1:
-        return _fail_usage("bound must be >= 1")
+        raise UsageError("bound must be >= 1")
     verdict = certify_universal(s, args.bound)
     if args.format == "report":
         print(json.dumps({
-            "schema": "thetasums-report/1",
+            "schema": cat.SCHEMA,
             "config": {"bound": args.bound},
             "sum": dsl.serialize(s),
             "universal_up_to_bound": verdict.universal,
@@ -167,17 +148,14 @@ def cmd_universal(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    try:
-        left = dsl.parse_polygonal_sum(args.left)
-        right = dsl.parse_polygonal_sum(args.right)
-    except dsl.ParseError as exc:
-        return _fail_usage(str(exc))
+    left = dsl.parse_polygonal_sum(args.left)
+    right = dsl.parse_polygonal_sum(args.right)
     if args.bound < 1:
-        return _fail_usage("bound must be >= 1")
+        raise UsageError("bound must be >= 1")
     equal, witness = equivalent_upto(left, right, args.bound)
     if args.format == "report":
         print(json.dumps({
-            "schema": "thetasums-report/1",
+            "schema": cat.SCHEMA,
             "config": {"bound": args.bound},
             "left": dsl.serialize(left),
             "right": dsl.serialize(right),
@@ -191,23 +169,13 @@ def cmd_equiv(args) -> int:
     return EXIT_OK if equal else EXIT_FAIL
 
 
-def _reproduce_keys(catalog: cat.Catalog, theorem: str) -> list[str]:
+def cmd_reproduce(args) -> int:
     # One row per claimed sum (or chain); the deriving decompositions are
     # re-verified inside each row's via-check rather than listed separately.
-    if theorem == "all":
-        return [e.key for e in catalog.entries]
-    if theorem == "section1-catalog":
-        return [e.key for e in catalog.entries if e.key.startswith("sec1")]
-    return [e.key for e in catalog.entries if e.key.startswith(theorem)]
-
-
-def cmd_reproduce(args) -> int:
-    if args.order < 2 or args.bound < 1:
-        return _fail_usage("need order >= 2 and bound >= 1")
-    catalog = _load_catalog_arg(args.catalog)
-    if catalog is None:
-        return EXIT_USAGE
-    return _run_selected(catalog, _reproduce_keys(catalog, args.theorem), args)
+    prefix = {"all": "", "section1-catalog": "sec1"}.get(args.theorem, args.theorem)
+    return _run_catalog(
+        args, lambda catalog: [e.key for e in catalog.entries if e.key.startswith(prefix)]
+    )
 
 
 def main(argv=None) -> int:
@@ -220,7 +188,11 @@ def main(argv=None) -> int:
         "equiv": cmd_equiv,
         "reproduce": cmd_reproduce,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (dsl.ParseError, cat.CatalogError, UsageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import islice
+from itertools import groupby, islice
 
 from .polygonal import PolygonalSum, QuadTerm, term_from_polygonal
 from .theta import ProductTerm, ThetaAtom, ThetaExpression
@@ -271,17 +271,9 @@ def serialize_product_term(t: ProductTerm) -> str:
         parts.append(str(t.multiplier))
     if t.shift:
         parts.append(_qpow_text(t.shift))
-    run_atom: ThetaAtom | None = None
-    run = 0
-    for a in list(t.atoms) + [None]:
-        if a == run_atom:
-            run += 1
-            continue
-        if run_atom is not None:
-            text = serialize_atom(run_atom)
-            parts.append(text if run == 1 else f"{text}^{run}")
-        run_atom = a
-        run = 1
+    for atom, run in groupby(t.atoms):
+        n = len(list(run))
+        parts.append(serialize_atom(atom) + (f"^{n}" if n > 1 else ""))
     return "*".join(parts)
 
 

@@ -6,8 +6,10 @@ import pytest
 from thetasums import catalog as catalog_module
 from thetasums import polygonal
 from thetasums.catalog import (
+    FIELDS,
     Catalog,
     CatalogError,
+    check_entry,
     default_catalog_dir,
     load_catalog,
     parse_catalog_text,
@@ -541,3 +543,12 @@ def test_failing_rows_keep_their_exact_details(broken_catalog):
     ]
     row = run_catalog(broken_catalog, order=3, bound=1000, keys=["Q1"]).rows[0]
     assert (row.status, row.detail) == ("fail", "insufficient order 3 for shift 3")
+
+
+def test_an_entry_of_a_kind_outside_fields_has_no_check():
+    catalog = Catalog(parse_catalog_text("[x] kind: base-fact\nsum: p3 + p3 + p3"))
+    entry = catalog.by_key["x"]
+    entry.kind = "mystery"
+    assert entry.kind not in FIELDS
+    with pytest.raises(CatalogError, match="unknown kind 'mystery'"):
+        check_entry(entry, 100, 100, catalog)

@@ -252,6 +252,29 @@ def test_runs_that_select_nothing_exit_2(tmp_path, capsys, command, catalog, mes
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("expand", "phi(q)", "--order", "1"), "order must be >= 2"),
+        (("universal", "p3 + p3", "--bound", "0"), "bound must be >= 1"),
+        (("equiv", "p3", "p3", "--bound", "0"), "bound must be >= 1"),
+        (("verify", "all", "--order", "1"), "need order >= 2 and bound >= 1"),
+        (("universal", "p2", "--bound", "0"), "line 1, cols 1-1: polygonal order 2 < 3"),
+        (
+            ("reproduce", "all", "--bound", "0", "--catalog", "{missing}"),
+            "need order >= 2 and bound >= 1",
+        ),
+    ],
+    ids=[
+        "expand-order", "universal-bound", "equiv-bound", "verify-order",
+        "parse-error-before-bound", "bound-before-missing-catalog",
+    ],
+)
+def test_a_bad_argument_value_is_one_error_line(tmp_path, capsys, argv, message):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["reproduce", "thm9.9"])
