@@ -113,6 +113,9 @@ def _run_catalog(args, select) -> int:
 
 
 def cmd_verify(args) -> int:
+    if "all" in args.keys and len(args.keys) > 1:
+        raise UsageError("'all' takes no other keys")
+
     def select(catalog):
         if args.keys == ["all"]:
             return [e.key for e in catalog.entries if e.kind in ("identity", "decomposition")]

@@ -31,10 +31,12 @@ cached: certify_universal keeps the gaps of the mask as a top-aligned
 mask, counted by bit_count, and lists them in one linear scan of its
 binary digits only when the full list is read.
 
-QuadTerm(c, A, B) and the theta atom (c(A+B)/2, c(A-B)/2) enumerate the
-same exponents: the atom's i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2.  For
-canonical atoms (i <= j) this inverts the map transfer.derive_sums applies,
-and it is how values_upto comes from theta.atom_exponents.
+A value family is keyed by its theta atom (family_key): QuadTerm(c, A, B)
+has the exponents of the atom (i, j) = (c(A+B)/2, c(A-B)/2), 0 <= i <= j,
+since i*n(n+1)/2 + j*n(n-1)/2 is c*n(An+B)/2; this inverts the map of
+transfer.derive_sums and gives values_upto.  The hexagonal atom (i, 3i) is
+keyed (0, i), the triangular atom with the same values, so two terms have
+equal keys exactly when they have equal value sets.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ class QuadTerm(namedtuple("QuadTerm", "coeff a b")):
 
     def values_upto(self, bound: int) -> list[int]:
         """All family values <= bound, each once, in increasing order."""
-        c, a, b = self.coeff, self.a, self.b
-        return sorted(set(atom_exponents(c * (a + b) // 2, c * (a - b) // 2, bound)))
+        return sorted(set(atom_exponents(*family_key(self), bound)))
 
 
 class PolygonalSum(namedtuple("PolygonalSum", "terms")):
@@ -142,16 +143,16 @@ def term_from_polygonal(coeff: int, m: int) -> QuadTerm:
     return QuadTerm(coeff, m - 2, -(m - 4))
 
 
-# The widest mask folded for each family tuple, as (bound, mask), oldest
-# key first; a new key past _MAX_MASKS drops the oldest.  A tuple whose
-# mask is full at that bound, a universal sum, keeps (bound, None), so
-# only the non-full entries hold bound/8 bytes each.
-_masks: dict[tuple[tuple[int, int, int], ...], tuple[int, int | None]] = {}
+# The widest mask folded for each tuple of family atoms, as (bound, mask),
+# oldest key first; a new key past _MAX_MASKS drops the oldest.  A tuple
+# whose mask is full at that bound, a universal sum, keeps (bound, None),
+# so only the non-full entries hold bound/8 bytes each.
+_masks: dict[tuple[tuple[int, int], ...], tuple[int, int | None]] = {}
 _MAX_MASKS = 4096
 
 
-def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
-    """Top-aligned mask of the sumset of the given family keys within [0, bound].
+def _prefix_mask(families: tuple[tuple[int, int], ...], bound: int) -> int:
+    """Top-aligned mask of the sumset of the given family atoms within [0, bound].
 
     A tuple stored at this bound returns the stored mask, and one stored at a
     wider bound returns that mask shifted right to [0, bound]: no value is
@@ -174,17 +175,18 @@ def _prefix_mask(families: tuple[tuple[int, int, int], ...], bound: int) -> int:
         if mask is None:
             return (1 << (bound + 1)) - 1
         return mask if widest == bound else mask >> (widest - bound)
-    a, bb, coeff = families[-1]
+    i, j = families[-1]
+    term = QuadTerm(1, i + j, i - j)
     if len(families) == 1:
         flags = bytearray(bound // 8 + 1)
-        for v in QuadTerm(coeff, a, -bb).values_upto(bound):
-            i = bound - v
-            flags[i >> 3] |= 1 << (i & 7)
+        for v in term.values_upto(bound):
+            bit = bound - v
+            flags[bit >> 3] |= 1 << (bit & 7)
         mask = int.from_bytes(flags, "little")
     else:
         mask = acc = _prefix_mask(families[:-1], bound)
         if _masks[families[:-1]][1] is not None:  # else the prefix is full, and so is mask
-            values = QuadTerm(coeff, a, -bb).values_upto(bound)
+            values = term.values_upto(bound)
             mask = 0
             check = 2
             for n, v in enumerate(values, 1):
@@ -248,49 +250,38 @@ def equivalent_upto(
     return False, bound - (diff.bit_length() - 1)
 
 
-def reduce_term(term: QuadTerm) -> QuadTerm:
-    """Extract the largest integer content from (a, b), keeping parity.
+def family_key(term: QuadTerm) -> tuple[int, int]:
+    """The term's theta atom (i, j) = (c(a+b)/2, c(a-b)/2), 0 <= i <= j as b <= 0.
 
-    The result generates the same values pointwise: c*g*x(A'x+B')/2 with
-    A' = a/g, B' = b/g equals c*x(ax+b)/2 for every x.
+    The hexagonal (i, 3i) is written as the triangular (0, i), which has the
+    same values, so sums written with p3 match terms from psi-type atoms.
     """
-    c, a, b = term.coeff, term.a, term.b
-    g = gcd(a, b)
-    # No divisor of g lies strictly between g/2 and g, and a - b is even,
-    # so when a/g - b/g is odd, g is even and g/2 is the largest that works.
-    if (a // g - b // g) % 2:
-        g //= 2
-    return QuadTerm(c * g, a // g, b // g)
+    c, a, b = term
+    i, j = c * (a + b) // 2, c * (a - b) // 2
+    return (0, i) if j == 3 * i else (i, j)
 
 
-def family_key(term: QuadTerm) -> tuple[int, int, int]:
-    """Canonical (a, |b|, coeff) of the reduced term, used for matching.
+def _shape(key: tuple[int, int]) -> tuple[int, int, int]:
+    """(A, |B|, g) such that the atom's values are g*x(Ax-|B|)/2, g = gcd(i, j)."""
+    i, j = key
+    g = gcd(i, j)
+    return ((i + j) // g, (j - i) // g, g)
 
-    The hexagonal shape (4, 2) is identified with the triangular shape
-    (1, 1): the two value sets coincide, which is how sums written with
-    p3 match terms arising from psi-type atoms.
+
+def _density_rank(key: tuple[int, int]) -> tuple[int, tuple[int, int, int]]:
+    """Fewer values up to N for a larger rank; ties broken by the shape.
+
+    The atom (i, j) has about m * sqrt(2N / (i + j)) values up to N, with m = 1
+    when i is 0 or j (n and 1 - n, or n and -n, give one value) and m = 2
+    otherwise, so (i + j) * 4 / m^2 orders the families by that count.
     """
-    r = reduce_term(term)
-    a, bb = r.a, -r.b
-    if (a, bb) == (4, 2):
-        a, bb = 1, 1
-    return (a, bb, r.coeff)
-
-
-def _density_rank(key: tuple[int, int, int]) -> tuple[int, tuple[int, int, int]]:
-    """Fewer values up to N for a larger rank; ties broken by the key.
-
-    coeff * x(a*x - b)/2 has about m * sqrt(2N / (coeff * a)) values up to
-    N, with m = 1 when a divides b (x and b/a - x give one value) and m = 2
-    otherwise, so coeff * a * 4 / m^2 orders the families by that count.
-    """
-    a, bb, coeff = key
-    return (coeff * a * (4 if bb % a == 0 else 1), key)
+    i, j = key
+    return ((i + j) * (4 if i in (0, j) else 1), _shape(key))
 
 
 @lru_cache(maxsize=4096)
-def sum_families(s: PolygonalSum) -> tuple[tuple[int, int, int], ...]:
-    """Family keys, densest first; two sums match iff these tuples are equal.
+def sum_families(s: PolygonalSum) -> tuple[tuple[int, int], ...]:
+    """Family atoms, densest first; two sums match iff these tuples are equal.
 
     The order is canonical, and the sparsest family is folded last, where a
     fold most often stops early.
@@ -298,27 +289,14 @@ def sum_families(s: PolygonalSum) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(map(family_key, s.terms), key=_density_rank))
 
 
-def polygonal_order_of(term: QuadTerm) -> int | None:
-    """m such that the reduced term is coeff' * p_m, if any."""
-    a, bb, _ = family_key(term)
-    m = a + 2
-    return m if bb == abs(m - 4) else None
-
-
-def term_label(term: QuadTerm) -> str:
-    """Human-readable label: 'c*pm' when the shape is m-gonal."""
-    a, bb, coeff = family_key(term)
-    m = polygonal_order_of(term)
-    body = f"p{m}" if m is not None else f"x({a}x-{bb})/2"
-    return body if coeff == 1 else f"{coeff}*{body}"
-
-
 def sum_label(s: PolygonalSum) -> str:
-    """Label with terms sorted the way the value lists are usually quoted."""
+    """Label with terms sorted the way the value lists are usually quoted.
 
-    def sort_key(t: QuadTerm):
-        m = polygonal_order_of(t)
-        r = reduce_term(t)
-        return (0, m, r.coeff) if m is not None else (1, r.a, -r.b, r.coeff)
-
-    return " + ".join(term_label(t) for t in sorted(s.terms, key=sort_key))
+    A term of shape (A, |B|, g) reads 'g*pm' when (A, |B|) is the m-gonal
+    (m - 2, |m - 4|), else 'g*x(Ax-|B|)/2'; m-gonal terms come first, by m.
+    """
+    shapes = (_shape(family_key(t)) for t in s.terms)
+    return " + ".join(
+        ("" if g == 1 else f"{g}*") + (f"x({a}x-{bb})/2" if other else f"p{a + 2}")
+        for other, a, bb, g in sorted((bb != abs(a - 2), a, bb, g) for a, bb, g in shapes)
+    )

@@ -5,7 +5,8 @@ residue-class terms: term r carries shift r-1 and atoms whose exponents
 are all multiples of the modulus k.  Once the series identity is checked,
 each side maps mechanically to a polygonal sum (derive_sums: atom (i, j)
 becomes the family x((i+j)x + i-j)/2, with the factor k divided out on the
-right), and universality propagates along the exponent map e = k*m + (r-1):
+right, and polygonal.family_key keys that family by the atom again), and
+universality propagates along the exponent map e = k*m + (r-1):
 the catalog certifies the lhs sum up to its bound and then each rhs sum up
 to the largest m with k*m + (r-1) <= bound.
 

@@ -507,12 +507,30 @@ def test_a_series_check_keeps_no_order_sized_data(catalog):
     assert held < 1_000_000
 
 
-# Three edits to the packaged catalog, each an exact text replacement.
+# Edits to the packaged catalog, each an exact text replacement.
 BROKEN_EDITS = (
     ("+ q*X(q^16)*Y(q^4)^3", "+ 2*q*X(q^16)*Y(q^4)^3"),  # Q1
     ("+ 2*q*psi(q^12)*X(q^2)*X(q^4)^2", "+ 2*q*psi(q^4)*X(q^2)*X(q^4)^2"),  # Q2
     ("+ 2*q*psi(q^12)*X(q^4)\n", "+ 3*q*psi(q^12)*X(q^4)\n"),  # eq-2.20
+    (  # Q3: a wrong claim, written unsorted and with 6*p6 for 6*p3
+        "claims: 3*p4+p5+p8+p8 | 6*p3+p5+2*p5+p8",
+        "claims: 3*p4+p5+p8+p8 | p8+4*p5+p5+6*p6",
+    ),
+    (  # eq-2.26-i3: a link whose sides differ
+        "chain: x(6x-2)/2 + p8 ~ 3*p3 + p5",
+        "chain: x(6x-2)/2 + p8 ~ 3*p3 + x(5x-1)/2",
+    ),
+    ("sum: 4*p5+p8+2*p8+2*p8\nvia: Q1a r1", "sum: 4*p5+p8+2*p8+2*p8\nvia: Q1a r2"),
 )
+
+# A true decomposition whose lhs sum takes even values only; its psi(q^2)
+# reads as 2*p3 and its f(q^4, q^6) as 2*x(5x-1)/2.
+EVEN_DECOMPOSITION = """
+[even-d] kind: decomposition ref: "every atom already in q^2"
+lhs: f(q^4, q^6)*X(q^2)*psi(q^2)*phi(q^2)
+modulus: 2
+rhs: f(q^4, q^6)*X(q^2)*psi(q^2)*phi(q^2)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -525,20 +543,32 @@ def broken_catalog():
     for old, new in BROKEN_EDITS:
         assert text.count(old) == 1, old
         text = text.replace(old, new)
-    return Catalog(parse_catalog_text(text))
+    return Catalog(parse_catalog_text(text + EVEN_DECOMPOSITION))
 
 
 def test_failing_rows_keep_their_exact_details(broken_catalog):
-    keys = ["Q1", "Q2", "eq-2.20", "thm3.1-01"]
+    keys = ["Q1", "Q2", "Q3", "eq-2.20", "eq-2.26-i3", "thm3.1-01", "thm3.1-05", "even-d"]
     rows = run_catalog(broken_catalog, order=1000, bound=1000, keys=keys).rows
     assert [(r.key, r.status, r.detail) for r in rows] == [
         ("Q1", "fail", "residue 1: coefficient 1 vs 2 at q^1"),
         ("Q2", "fail", "residue 1: coefficient 6 vs 8 at q^5"),
+        (
+            "Q3",
+            "fail",
+            "claim 2 is 6*p3 + p5 + 4*p5 + p8 but the atoms give 6*p3 + p5 + 2*p5 + p8",
+        ),
         ("eq-2.20", "fail", "first difference at q^1: 2 vs 3"),
+        ("eq-2.26-i3", "fail", "2*p5 + p8 vs 3*p3 + x(5x-1)/2: differ at 1"),
+        ("even-d", "fail", "lhs sum 2*p3 + 2*p4 + 2*p5 + 2*x(5x-1)/2 missing (1, 3, 5)"),
         (
             "thm3.1-01",
             "fail",
             "deriving identity Q1 failed: residue 1: coefficient 1 vs 2 at q^1",
+        ),
+        (
+            "thm3.1-05",
+            "fail",
+            "via 'Q1a r2' derives p8 + 2*p8 + 2*p8 + 2*p8, not 4*p5 + p8 + 2*p8 + 2*p8",
         ),
     ]
     row = run_catalog(broken_catalog, order=3, bound=1000, keys=["Q1"]).rows[0]

@@ -264,10 +264,11 @@ def test_runs_that_select_nothing_exit_2(tmp_path, capsys, command, catalog, mes
             ("reproduce", "all", "--bound", "0", "--catalog", "{missing}"),
             "need order >= 2 and bound >= 1",
         ),
+        (("verify", "all", "Q1"), "'all' takes no other keys"),
     ],
     ids=[
         "expand-order", "universal-bound", "equiv-bound", "verify-order",
-        "parse-error-before-bound", "bound-before-missing-catalog",
+        "parse-error-before-bound", "bound-before-missing-catalog", "verify-all-and-a-key",
     ],
 )
 def test_a_bad_argument_value_is_one_error_line(tmp_path, capsys, argv, message):

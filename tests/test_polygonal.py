@@ -13,10 +13,10 @@ from thetasums.polygonal import (
     QuadTerm,
     _mask_bits,
     _prefix_mask,
+    _shape,
     certify_universal,
     equivalent_upto,
     family_key,
-    reduce_term,
     sum_families,
     sum_label,
     sum_value_mask,
@@ -253,9 +253,32 @@ def quad_terms(draw):
 @example(QuadTerm(3, 12, -4))
 @example(QuadTerm(1, 24, -12))
 def test_reduce_term_matches_the_divisor_search(term):
-    reduced = reduce_term(term)
-    assert reduced == reduce_term_by_divisors(term)
+    # The key's shape (A, |B|, g) is the term reduced by its largest content
+    # g, except that the hexagonal shape (4, 2) is written as (1, 1).
+    reduced = reduce_term_by_divisors(term)
+    a, bb = (reduced.a, -reduced.b) if (reduced.a, reduced.b) != (4, -2) else (1, 1)
+    assert _shape(family_key(term)) == (a, bb, reduced.coeff)
     assert [reduced.value(x) for x in range(-5, 6)] == [term.value(x) for x in range(-5, 6)]
+
+
+def test_equal_keys_are_equal_value_sets():
+    # Over every term with c <= 8 and a <= 16, two terms share a key
+    # exactly when they share their values up to 2000.
+    terms = [
+        QuadTerm(c, a, b)
+        for c in range(1, 9)
+        for a in range(1, 17)
+        for b in range(-a, 1)
+        if (a - b) % 2 == 0
+    ]
+    assert len(terms) == 640
+    values = {t: frozenset(t.values_upto(2000)) for t in terms}
+    by_key, by_values = {}, {}
+    for t in terms:
+        by_key.setdefault(family_key(t), set()).add(values[t])
+        by_values.setdefault(values[t], set()).add(family_key(t))
+    assert all(len(sets) == 1 for sets in by_key.values())
+    assert all(len(keys) == 1 for keys in by_values.values())
 
 
 def test_family_key_identifies_scaled_shapes():
@@ -382,13 +405,13 @@ def test_sums_sharing_a_sorted_prefix_share_its_folds(fresh_masks, folds):
 
 
 def test_families_come_densest_first():
-    # Up to N, c * x(a*x - b)/2 has about m * sqrt(2N / (c*a)) values (m = 1
-    # when a divides b), so counts may rise along the order only where two
+    # Up to N, the atom (i, j) has about m * sqrt(2N / (i + j)) values (m = 1
+    # when i is 0 or j), so counts may rise along the order only where two
     # families tie asymptotically, and then by one value.
     terms = [term_from_polygonal(c, m) for c in range(1, 9) for m in (3, 4, 5, 7, 8)]
     families = sum_families(PolygonalSum(tuple(terms)))
     for bound in (1000, 30000, 100000, 10**6):
-        counts = [len(QuadTerm(c, a, -bb).values_upto(bound)) for a, bb, c in families]
+        counts = [len(QuadTerm(1, i + j, i - j).values_upto(bound)) for i, j in families]
         rises = [later - earlier for earlier, later in zip(counts, counts[1:])]
         assert max(rises) <= 1
         assert rises.count(1) <= 6
