@@ -28,17 +28,11 @@ every target-sum with a 'via' and every member of a 'certify: members'
 chain.  A target-sum with no 'via', or with an 'anchor' field, is anchored:
 some theorem list must contain its sum, or none may under 'anchor: none'.
 
-Every series check is transfer.verify_identity.  A decomposition is proved
-from the catalog it is checked in: its lhs is rewritten with the identity
-entries whose lhs is one product and whose own series check passes at the
-same order (transfer.derive_decomposition).  That check runs only for the
-lemmas a derivation uses.  Only when no derivation exists, or a lemma it
-uses fails, does the row multiply out the series
-(transfer.verify_decomposition), which also supplies the failure witness;
-either way a passing row reads 'verified to order N'.  The row then
-certifies the sums read off the atoms (transfer.derive_sums): the lhs sum
-up to the bound and, only once it passes, each rhs sum up to the largest
-m with k*m + shift <= bound.  Nothing is checked at load time.
+Every series check is transfer.verify_identity, and a decomposition is
+checked by transfer.verify_decomposition with the catalog's lemmas.  The
+row then certifies the sums read off the atoms (transfer.derive_sums): the
+lhs sum up to the bound and, only once it passes, each rhs sum up to the
+largest m with k*m + shift <= bound.  Nothing is checked at load time.
 
 Each kind has one check, which returns (ok, detail); check_entry builds
 the entry's Row from it.  A Row is an immutable namedtuple; CatalogEntry,
@@ -49,7 +43,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -62,14 +56,7 @@ from .polygonal import (
     sum_label,
 )
 from .theta import ThetaExpression
-from .transfer import (
-    Decomposition,
-    VerifyOutcome,
-    derive_decomposition,
-    derive_sums,
-    verify_decomposition,
-    verify_identity,
-)
+from .transfer import Decomposition, derive_sums, verify_decomposition, verify_identity
 
 FIELDS = {
     "identity": ("lhs", "rhs"),
@@ -96,6 +83,7 @@ class CatalogEntry:
     chain: tuple[PolygonalSum, ...] = ()
     target: PolygonalSum | None = None
     via: str | None = None
+    residue: int | None = None  # N of a 'via: KEY rN'
     anchor: str | None = None
 
     def __init__(self, key: str, kind: str, ref: str, fields: dict[str, str], where: str = ""):
@@ -234,9 +222,7 @@ def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> No
             if "base" in entry.fields:
                 entry.base = dsl.parse_polygonal_sum(value("base"))
             if "claims" in entry.fields:
-                entry.claims = tuple(
-                    dsl.parse_polygonal_sum(part) for part in value("claims").split("|")
-                )
+                entry.claims = tuple(dsl.parse_claims(value("claims")))
         elif entry.kind == "equivalence":
             entry.chain = tuple(dsl.parse_chain(value("chain")))
             if len(entry.chain) < 2:
@@ -246,8 +232,13 @@ def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> No
         elif entry.kind in ("base-fact", "target-sum"):
             entry.target = dsl.parse_polygonal_sum(value("sum"))
             entry.via = entry.fields.get("via")
-            if entry.via is not None and not re.fullmatch(r"\S+(\s+r[0-9]+)?", value("via")):
+            via = entry.via and re.fullmatch(r"\S+(\s+r([0-9]+))?", value("via"))
+            if entry.via is not None and not via:
                 raise CatalogError("via must be 'KEY' or 'KEY rN'")
+            try:  # set on every entry of these kinds, which then share one key layout
+                entry.residue = int(via[2]) if via and via[2] else None
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise CatalogError("via residue term has too many digits") from None
             entry.anchor = entry.fields.get("anchor")
             if entry.anchor is not None and value("anchor") != "none":
                 raise CatalogError("anchor must be 'none'")
@@ -320,31 +311,11 @@ def _match_claims(
     return None
 
 
-@lru_cache(maxsize=256)
-def _verified_decomposition(d: Decomposition, order: int, lemmas: tuple) -> VerifyOutcome:
-    """A derivation from lemmas that hold to order, else the series check and its witness.
-
-    A lemma's series check runs only once a derivation uses it.  If any
-    lemma the derivation uses fails, the decomposition is series-checked.
-    """
-    if max(t.shift for t in d.rhs) < order:
-        steps = derive_decomposition(d, lemmas)
-        if steps is not None:
-            used = {name for name, _n in steps}
-            if all(
-                verify_identity(ThetaExpression((lhs,)), rhs, order).ok
-                for key, lhs, rhs in lemmas
-                if key in used
-            ):
-                return VerifyOutcome(True, None, f"verified to order {order} (k={d.modulus})")
-    return verify_decomposition(d, order)
-
-
 def _check_decomposition(
     entry: CatalogEntry, order: int, bound: int, catalog: Catalog
 ) -> tuple[bool, str]:
     d = entry.decomposition
-    outcome = _verified_decomposition(d, order, catalog.lemmas)
+    outcome = verify_decomposition(d, order, catalog.lemmas)
     if not outcome.ok:
         return False, outcome.detail
     lhs_sum, rhs_sums = derive_sums(d)
@@ -388,10 +359,11 @@ def _check_equivalence(
             return False, f"{sum_label(left)} vs {sum_label(right)}: differ at {witness}"
     notes = [f"{len(entry.chain) - 1} link(s) hold to bound {bound}"]
     if entry.fields.get("certify") == "members":
-        for s in entry.chain:
-            verdict = certify_universal(s, bound)
-            if not verdict.universal:
-                return False, f"member {sum_label(s)} missing {verdict.head(3)}"
+        # The links hold, so every member has the first member's values up
+        # to the bound: certifying the first certifies them all.
+        verdict = certify_universal(entry.chain[0], bound)
+        if not verdict.universal:
+            return False, f"member {sum_label(entry.chain[0])} missing {verdict.head(3)}"
         notes.append(f"all {len(entry.chain)} members certified universal")
     return True, "; ".join(notes)
 
@@ -437,28 +409,25 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
     its lemmas or else series-checked, so a theorem reproduction is
     self-contained even when run key-by-key.
     """
-    parts = entry.via.split()
-    source = catalog.by_key.get(parts[0])
+    key = entry.via.split()[0]
+    source = catalog.by_key.get(key)
     if source is None:
-        return f"via references unknown key {parts[0]!r}"
+        return f"via references unknown key {key!r}"
     if source.kind == "decomposition":
-        if len(parts) != 2:
+        if entry.residue is None:
             return f"via {entry.via!r} needs a residue term like 'r2'"
-        idx = int(parts[1][1:]) - 1
-        outcome = _verified_decomposition(source.decomposition, order, catalog.lemmas)
+        outcome = verify_decomposition(source.decomposition, order, catalog.lemmas)
         if not outcome.ok:
-            return f"deriving identity {parts[0]} failed: {outcome.detail}"
+            return f"deriving identity {key} failed: {outcome.detail}"
         _lhs_sum, rhs_sums = derive_sums(source.decomposition)
-        if not 0 <= idx < len(rhs_sums):
-            return f"via {entry.via!r}: no residue term {idx + 1}"
-        if sum_families(rhs_sums[idx]) != sum_families(entry.target):
-            return (
-                f"via {entry.via!r} derives {sum_label(rhs_sums[idx])}, "
-                f"not {sum_label(entry.target)}"
-            )
+        if not 1 <= entry.residue <= len(rhs_sums):
+            return f"via {entry.via!r}: no residue term {entry.residue}"
+        derived = rhs_sums[entry.residue - 1]
+        if sum_families(derived) != sum_families(entry.target):
+            return f"via {entry.via!r} derives {sum_label(derived)}, not {sum_label(entry.target)}"
         return None
     if source.kind == "equivalence":
-        if len(parts) != 1:
+        if entry.residue is not None:
             return f"via {entry.via!r}: a residue term needs a decomposition"
         if any(
             sum_families(s) == sum_families(entry.target) for s in source.chain

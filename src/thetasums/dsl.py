@@ -8,10 +8,11 @@ Theta expressions:  expression := term ('+' term)*
                     qpow       := 'q' ['^' INT]
 Polygonal sums:     sum  := term ('+' term)*
                     term := [INT '*']? ('p' INT | 'x(' INT 'x' [('+'|'-') INT] ')/2')
-Chains:             chain := sum ('~' sum)*
+Chains:             chain  := sum ('~' sum)*
+Claims:             claims := sum ('|' sum)*
 
 The grammar is ASCII: a token is a run of digits, a run of letters, or
-one of + - * ^ ( ) , / ~.  Whitespace separates tokens and is otherwise
+one of + - * ^ ( ) , / ~ |.  Whitespace separates tokens and is otherwise
 ignored; any other character, ASCII or not, is an 'unexpected character'
 error.  '^' binds tighter than '*' which binds tighter than '+'.  Factor
 powers expand to repeated atoms.  Serialization is canonical (single
@@ -57,9 +58,9 @@ def _span(text: str, start: int, length: int) -> SourceSpan:
     return SourceSpan(text.count("\n", 0, start) + 1, col, col + max(length, 1) - 1)
 
 
-_TOKEN = re.compile(r"[0-9]+|[A-Za-z]+|[-+*^(),/~]")
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z]+|[-+*^(),/~|]")
 # Any non-space character that starts no token.
-_BAD = re.compile(r"[^\s0-9A-Za-z+\-*^(),/~]")
+_BAD = re.compile(r"[^\s0-9A-Za-z+\-*^(),/~|]")
 
 
 def tokenize(text: str) -> list[str]:
@@ -108,6 +109,24 @@ class _Parser:
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise self.error(f"{what} has too many digits", self.pos - 1) from None
 
+    def prefix(self, what: str) -> int:
+        """An optional 'INT *' prefix, 1 when absent; what names the integer."""
+        at = self.pos
+        if not self.tokens[at].isdigit():
+            return 1
+        n = self.expect_int(what)
+        if n < 1:
+            raise self.error(f"{what} must be >= 1", at)
+        self.expect("*", f"'*' after {what}")
+        return n
+
+    def separated(self, item, separator: str) -> list:
+        """item ('separator' item)*"""
+        items = [item()]
+        while self.accept(separator):
+            items.append(item())
+        return items
+
     # -- theta grammar -----------------------------------------------------
 
     def qpow(self) -> int:
@@ -140,14 +159,8 @@ class _Parser:
         raise self.error(f"unknown atom name {name!r}")
 
     def theta_term(self) -> ProductTerm:
-        multiplier = 1
+        multiplier = self.prefix("multiplier")
         shift = 0
-        at = self.pos
-        if self.tokens[at].isdigit():
-            multiplier = self.expect_int("multiplier")
-            if multiplier < 1:
-                raise self.error("multiplier must be >= 1", at)
-            self.expect("*", "'*' after multiplier")
         if self.accept("q"):
             shift = self.expect_int("shift exponent") if self.accept("^") else 1
             self.expect("*", "'*' after q-power prefactor")
@@ -170,21 +183,12 @@ class _Parser:
         if self.tokens[self.pos:] == ["0", ""]:
             self.pos += 1
             return ThetaExpression(())
-        terms = [self.theta_term()]
-        while self.accept("+"):
-            terms.append(self.theta_term())
-        return ThetaExpression(tuple(terms))
+        return ThetaExpression(tuple(self.separated(self.theta_term, "+")))
 
     # -- polygonal grammar ---------------------------------------------------
 
     def quad_term(self) -> QuadTerm:
-        coeff = 1
-        at = self.pos
-        if self.tokens[at].isdigit():
-            coeff = self.expect_int("coefficient")
-            if coeff < 1:
-                raise self.error("coefficient must be >= 1", at)
-            self.expect("*", "'*' after coefficient")
+        coeff = self.prefix("coefficient")
         at = self.pos
         name = self.tokens[at]
         if not name.isalpha():
@@ -217,16 +221,7 @@ class _Parser:
         raise self.error(f"unknown term {name!r}")
 
     def polygonal_sum(self) -> PolygonalSum:
-        terms = [self.quad_term()]
-        while self.accept("+"):
-            terms.append(self.quad_term())
-        return PolygonalSum(tuple(terms))
-
-    def chain(self) -> list[PolygonalSum]:
-        sums = [self.polygonal_sum()]
-        while self.accept("~"):
-            sums.append(self.polygonal_sum())
-        return sums
+        return PolygonalSum(tuple(self.separated(self.quad_term, "+")))
 
 
 def _finish(parser: _Parser, value):
@@ -247,7 +242,12 @@ def parse_polygonal_sum(text: str) -> PolygonalSum:
 
 def parse_chain(text: str) -> list[PolygonalSum]:
     p = _Parser(text)
-    return _finish(p, p.chain())
+    return _finish(p, p.separated(p.polygonal_sum, "~"))
+
+
+def parse_claims(text: str) -> list[PolygonalSum]:
+    p = _Parser(text)
+    return _finish(p, p.separated(p.polygonal_sum, "|"))
 
 
 # -- serialization ------------------------------------------------------------

@@ -10,15 +10,16 @@ universality propagates along the exponent map e = k*m + (r-1):
 the catalog certifies the lhs sum up to its bound and then each rhs sum up
 to the largest m with k*m + (r-1) <= bound.
 
-A decomposition is checked the way the paper proves it: derive_decomposition
-rewrites the lhs with identity lemmas applied under q -> q^n until it equals
-the rhs term for term.  A lemma that holds to order N still does after
-q -> q^n, after multiplying by any atoms and after shifting, and
-canonicalize is exact, so a derivation from lemmas checked to order N proves
-the decomposition to order N.  verify_decomposition series-checks it as
-the identity it is, through verify_identity, the one series check; it is
-the fallback when no derivation is found and the reference the derivation
-is tested against.
+verify_decomposition is the one decomposition check, and it checks the way
+the paper proves: given lemmas, derive_decomposition rewrites the lhs with
+them under q -> q^n until it equals the rhs term for term.  A lemma that
+holds to order N still does after q -> q^n, after multiplying by any atoms
+and after shifting, and canonicalize is exact, so a derivation whose lemmas
+pass verify_identity, the one series check, at order N proves the
+decomposition to order N; only the lemmas it uses are checked.  With no
+lemmas, no derivation, a failing lemma or an rhs shift that reaches the
+order, it series-checks the identity itself, which is also the reference
+the derivation is tested against and the source of every failure witness.
 
 Decomposition and VerifyOutcome are immutable namedtuples; the
 Decomposition constructor, which _make and _replace call, checks the
@@ -110,21 +111,41 @@ def verify_identity(
     return VerifyOutcome(False, e, f"first difference at q^{e}: {a} vs {b}", a, b)
 
 
-def verify_decomposition(d: Decomposition, order: int) -> VerifyOutcome:
-    """verify_identity of lhs against the sum of the rhs terms, worded per residue.
+def _series_check(d: Decomposition, order: int) -> VerifyOutcome:
+    """verify_identity of lhs against the sum of the rhs terms, a failure worded per residue.
 
     The rhs terms live on distinct residues mod k, so one full comparison
     checks every per-residue identity and the vanishing of the lhs on
     residues no rhs term covers.
     """
     out = verify_identity(ThetaExpression((d.lhs,)), ThetaExpression(d.rhs), order)
-    k, e = d.modulus, out.exponent
-    if out.ok:
-        return VerifyOutcome(True, None, f"verified to order {order} (k={k})")
+    e = out.exponent
     if e is None:
         return out
-    detail = f"residue {e % k}: coefficient {out.left} vs {out.right} at q^{e}"
+    detail = f"residue {e % d.modulus}: coefficient {out.left} vs {out.right} at q^{e}"
     return out._replace(detail=detail)
+
+
+@lru_cache(maxsize=256)
+def verify_decomposition(d: Decomposition, order: int, lemmas: tuple = ()) -> VerifyOutcome:
+    """d checked to order: derived from lemmas that hold there, else by _series_check.
+
+    lemmas holds (name, lhs, rhs) triples as derive_decomposition takes them.
+    """
+    steps = None
+    if lemmas and max(t.shift for t in d.rhs) < order:
+        steps = derive_decomposition(d, lemmas)
+    used = {name for name, _n in steps or ()}
+    derived = steps is not None and all(
+        verify_identity(ThetaExpression((lhs,)), rhs, order).ok
+        for name, lhs, rhs in lemmas
+        if name in used
+    )
+    if not derived:
+        out = _series_check(d, order)
+        if not out.ok:
+            return out
+    return VerifyOutcome(True, None, f"verified to order {order} (k={d.modulus})")
 
 
 def _scaled(atoms: tuple[ThetaAtom, ...], n: int) -> tuple[ThetaAtom, ...]:

@@ -206,7 +206,7 @@ def char_tokenize(text: str) -> list[tuple[str, SourceSpan]]:
                 col += 1
             tokens.append((text[start:i], SourceSpan(line, start_col, col - 1)))
             continue
-        if ch not in "+-*^(),/~":
+        if ch not in "+-*^(),/~|":
             raise ParseError(f"unexpected character {ch!r}", SourceSpan(line, col, col))
         tokens.append((ch, SourceSpan(line, col, col)))
         i += 1

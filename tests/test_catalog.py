@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from thetasums import catalog as catalog_module
-from thetasums import polygonal
+from thetasums import polygonal, transfer
 from thetasums.catalog import (
     FIELDS,
     Catalog,
@@ -205,8 +205,14 @@ def test_a_ref_is_read_between_its_quotes():
             " + q^2*Y(q^2)*Y(q^4)^3\nmodulus: 2",
             "a.cat:6: [x]: shift 2 outside 0..1",
         ),
+        (
+            # The column counts from the start of the field, not of the claim.
+            "[Qx] kind: decomposition\nclaims: p4 + p4 + p4 | p4 + q4 + p4\n"
+            + Q1_TEXT.split("\n", 1)[1],
+            "a.cat:5: [Qx]: line 1, cols 21-21: unknown term 'q'",
+        ),
     ],
-    ids=["dsl-error", "missing-field", "bad-certify", "bad-decomposition"],
+    ids=["dsl-error", "missing-field", "bad-certify", "bad-decomposition", "later-claim"],
 )
 def test_entry_errors_name_the_file_and_line_of_the_field(tmp_path, entry, message):
     path = tmp_path / "a.cat"
@@ -397,13 +403,14 @@ def test_derived_bounds_are_answered_from_full_bound_masks(catalog, monkeypatch)
 def verify_calls(monkeypatch):
     """Decompositions that reach the series check, in call order."""
     calls = []
+    series_check = transfer._series_check
 
     def spy(d, order):
         calls.append(d)
-        return verify_decomposition(d, order)
+        return series_check(d, order)
 
-    catalog_module._verified_decomposition.cache_clear()
-    monkeypatch.setattr(catalog_module, "verify_decomposition", spy)
+    verify_decomposition.cache_clear()
+    monkeypatch.setattr(transfer, "_series_check", spy)
     return calls
 
 
@@ -437,9 +444,11 @@ def test_a_wrong_rhs_has_no_derivation_and_fails_with_the_series_witness(
     catalog = _with_identities(BROKEN_Q1_TEXT[fault])
     d = catalog.by_key["Q1"].decomposition
     assert derive_decomposition(d, catalog.lemmas) is None
+    reference = verify_decomposition(d, 200)
+    verify_calls.clear()
     row = run_catalog(catalog, order=200, bound=500, keys=["Q1"]).rows[0]
     assert row.status == "fail"
-    assert row.detail == verify_decomposition(d, 200).detail
+    assert row.detail == reference.detail
     assert row.detail.startswith("residue ")
     assert verify_calls == [d]
 
@@ -459,9 +468,11 @@ def test_a_failing_identity_is_not_used_as_a_lemma(verify_calls):
     d = catalog.by_key["D"].decomposition
     # D does follow from the false lemma, so only the lemma's check stops it.
     assert derive_decomposition(d, [("eq-2.16", false.lhs.terms[0], false.rhs)])
+    reference = verify_decomposition(d, 200)
+    verify_calls.clear()
     rows = run_catalog(catalog, order=200, bound=500).rows
     assert [(r.key, r.status) for r in rows] == [("D", "fail"), ("eq-2.16", "fail")]
-    assert rows[0].detail == verify_decomposition(d, 200).detail
+    assert rows[0].detail == reference.detail
     assert verify_calls == [d]
     # With the true (2.16) the same lhs derives the true rhs, with no
     # series check.
@@ -469,6 +480,21 @@ def test_a_failing_identity_is_not_used_as_a_lemma(verify_calls):
     rows = run_catalog(_with_identities(true_d), order=200, bound=500, keys=["D"]).rows
     assert not rows[0].detail.startswith("residue ")
     assert verify_calls == [d]
+
+
+def test_the_derivation_gives_the_outcome_of_the_series_check(catalog):
+    # The faster path against the naive one: with its lemmas a decomposition
+    # passes or fails exactly as its own series check says, witness included.
+    cases = [(catalog.lemmas, e.decomposition) for e in catalog.of_kind("decomposition")]
+    for text in BROKEN_Q1_TEXT.values():
+        broken = _with_identities(text)
+        cases.append((broken.lemmas, broken.by_key["Q1"].decomposition))
+    false = Catalog(parse_catalog_text(FALSE_EQ_2_16 + ONLY_BY_FALSE_LEMMA))
+    cases.append((false.lemmas, false.by_key["D"].decomposition))
+    assert len(cases) == 46
+    verify_decomposition.cache_clear()
+    for lemmas, d in cases:
+        assert verify_decomposition(d, 300, lemmas) == verify_decomposition(d, 300), d
 
 
 def test_q1_alone_passes_through_the_series_check(verify_calls):
@@ -480,7 +506,7 @@ def test_q1_alone_passes_through_the_series_check(verify_calls):
 
 
 def test_a_row_checks_only_the_lemmas_its_derivation_uses(catalog):
-    catalog_module._verified_decomposition.cache_clear()
+    verify_decomposition.cache_clear()
     verify_identity.cache_clear()
     row = run_catalog(catalog, order=300, bound=600, keys=["Q1"]).rows[0]
     assert row.detail == "verified to order 300; transfer certified to bound 600 (k=4)"
@@ -493,7 +519,7 @@ def test_a_series_check_keeps_no_order_sized_data(catalog):
     # Expansions are not cached: once the run returns, only outcomes and
     # the report are held, whatever the order.  With the outcome caches
     # cleared, every series check of the run expands both sides at this order.
-    catalog_module._verified_decomposition.cache_clear()
+    verify_decomposition.cache_clear()
     verify_identity.cache_clear()
     tracemalloc.start()
     try:
@@ -532,6 +558,13 @@ modulus: 2
 rhs: f(q^4, q^6)*X(q^2)*psi(q^2)*phi(q^2)
 """
 
+# A chain whose link holds but whose members are not universal.
+NON_UNIVERSAL_CHAIN = """
+[two-p3] kind: equivalence ref: "x(x+1)/2 takes the triangular numbers too"
+chain: p3 + p3 ~ x(1x+1)/2 + p3
+certify: members
+"""
+
 
 @pytest.fixture(scope="module")
 def broken_catalog():
@@ -543,11 +576,13 @@ def broken_catalog():
     for old, new in BROKEN_EDITS:
         assert text.count(old) == 1, old
         text = text.replace(old, new)
-    return Catalog(parse_catalog_text(text + EVEN_DECOMPOSITION))
+    return Catalog(parse_catalog_text(text + EVEN_DECOMPOSITION + NON_UNIVERSAL_CHAIN))
 
 
 def test_failing_rows_keep_their_exact_details(broken_catalog):
-    keys = ["Q1", "Q2", "Q3", "eq-2.20", "eq-2.26-i3", "thm3.1-01", "thm3.1-05", "even-d"]
+    keys = [
+        "Q1", "Q2", "Q3", "eq-2.20", "eq-2.26-i3", "thm3.1-01", "thm3.1-05", "even-d", "two-p3"
+    ]
     rows = run_catalog(broken_catalog, order=1000, bound=1000, keys=keys).rows
     assert [(r.key, r.status, r.detail) for r in rows] == [
         ("Q1", "fail", "residue 1: coefficient 1 vs 2 at q^1"),
@@ -570,6 +605,7 @@ def test_failing_rows_keep_their_exact_details(broken_catalog):
             "fail",
             "via 'Q1a r2' derives p8 + 2*p8 + 2*p8 + 2*p8, not 4*p5 + p8 + 2*p8 + 2*p8",
         ),
+        ("two-p3", "fail", "member p3 + p3 missing (5, 8, 14)"),
     ]
     row = run_catalog(broken_catalog, order=3, bound=1000, keys=["Q1"]).rows[0]
     assert (row.status, row.detail) == ("fail", "insufficient order 3 for shift 3")
