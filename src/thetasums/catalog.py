@@ -35,8 +35,11 @@ lhs sum up to the bound and, only once it passes, each rhs sum up to the
 largest m with k*m + shift <= bound.  Nothing is checked at load time.
 
 Each kind has one check, which returns (ok, detail); check_entry builds
-the entry's Row from it.  A Row is an immutable namedtuple; CatalogEntry,
-Catalog and Report are plain records.
+the entry's Row from it.  A check reads its sieve answers from a
+polygonal.SieveTable asked every question the check may read
+(_answered_sieve); run_catalog asks one table for all the selected
+entries, so each distinct question is sieved once.  A Row is an immutable namedtuple;
+CatalogEntry, Catalog and Report are plain records.
 """
 
 from __future__ import annotations
@@ -48,15 +51,15 @@ from importlib import resources
 from pathlib import Path
 
 from . import dsl
-from .polygonal import (
-    PolygonalSum,
-    certify_universal,
-    equivalent_upto,
-    sum_families,
-    sum_label,
-)
+from .polygonal import PolygonalSum, SieveTable, sum_families, sum_label
 from .theta import ThetaExpression
-from .transfer import Decomposition, derive_sums, verify_decomposition, verify_identity
+from .transfer import (
+    Decomposition,
+    derive_sums,
+    derived_bounds,
+    verify_decomposition,
+    verify_identity,
+)
 
 FIELDS = {
     "identity": ("lhs", "rhs"),
@@ -216,7 +219,10 @@ def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> No
                 raise CatalogError("lhs must be a single product")
             if not re.fullmatch(r"[0-9]+", value("modulus")):
                 raise CatalogError("modulus must be written in ASCII digits")
-            modulus = int(value("modulus"))
+            try:
+                modulus = int(value("modulus"))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise CatalogError("modulus has too many digits") from None
             rhs = dsl.parse_theta_expression(value("rhs"))
             entry.decomposition = Decomposition(lhs.terms[0], modulus, rhs.terms)
             if "base" in entry.fields:
@@ -290,8 +296,32 @@ class Row(namedtuple("Row", "key kind status detail")):
         return self.status == "pass"
 
 
+def _answered_sieve(entries: list[CatalogEntry], bound: int) -> SieveTable:
+    """A SieveTable asked every sieve question that the entries' checks may
+    read, whatever the answers to the others, and then answered."""
+    sieve = SieveTable()
+    for e in entries:
+        if e.kind == "decomposition":
+            lhs_sum, rhs_sums = derive_sums(e.decomposition)
+            sieve.ask_universal(lhs_sum, bound)
+            for s, derived in zip(rhs_sums, derived_bounds(e.decomposition, bound)):
+                sieve.ask_universal(s, derived)
+            if e.base is not None:
+                sieve.ask_universal(e.base, bound)
+                sieve.ask_equal(lhs_sum, e.base, bound)
+        elif e.kind == "equivalence":
+            for left, right in zip(e.chain, e.chain[1:]):
+                sieve.ask_equal(left, right, bound)
+            if e.fields.get("certify") == "members":
+                sieve.ask_universal(e.chain[0], bound)
+        elif e.kind in ("base-fact", "target-sum"):
+            sieve.ask_universal(e.target, bound)
+    sieve.answer()
+    return sieve
+
+
 def _check_identity(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> tuple[bool, str]:
     outcome = verify_identity(entry.lhs, entry.rhs, order)
     return outcome.ok, outcome.detail
@@ -312,75 +342,67 @@ def _match_claims(
 
 
 def _check_decomposition(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> tuple[bool, str]:
     d = entry.decomposition
     outcome = verify_decomposition(d, order, catalog.lemmas)
     if not outcome.ok:
         return False, outcome.detail
     lhs_sum, rhs_sums = derive_sums(d)
-    lhs_verdict = certify_universal(lhs_sum, bound)
-    # Only a certified lhs transfers: each rhs sum is certified up to the
-    # largest m with k*m + shift <= bound.
-    rhs_problems = []
-    if lhs_verdict.universal:
-        for t, s in zip(d.rhs, rhs_sums):
-            derived = max(1, (bound - t.shift) // d.modulus)
-            verdict = certify_universal(s, derived)
-            if not verdict.universal:
-                rhs_problems.append(
-                    f"rhs {sum_label(s)} missing {verdict.head(3)} up to {derived}"
-                )
     problems = []
     if entry.claims:
         mismatch = _match_claims(rhs_sums, entry.claims)
         if mismatch:
             problems.append(mismatch)
-    if not lhs_verdict.universal:
-        problems.append(f"lhs sum {sum_label(lhs_sum)} missing {lhs_verdict.head(3)}")
+    lhs_gaps = sieve.universal(lhs_sum, bound)
+    if lhs_gaps:
+        problems.append(f"lhs sum {sum_label(lhs_sum)} missing {lhs_gaps[:3]}")
     if entry.base is not None:
-        if not certify_universal(entry.base, bound).universal:
+        if sieve.universal(entry.base, bound):
             problems.append(f"base {sum_label(entry.base)} not certified")
-        eq, witness = equivalent_upto(lhs_sum, entry.base, bound)
-        if not eq:
+        witness = sieve.equal(lhs_sum, entry.base, bound)
+        if witness is not None:
             problems.append(f"lhs and base value sets differ at {witness}")
-    problems += rhs_problems
+    if not lhs_gaps:
+        # Only a certified lhs transfers: each rhs sum is certified up to
+        # its derived bound.
+        for s, derived in zip(rhs_sums, derived_bounds(d, bound)):
+            if gaps := sieve.universal(s, derived):
+                problems.append(f"rhs {sum_label(s)} missing {gaps[:3]} up to {derived}")
     if problems:
         return False, "; ".join(problems)
     return True, f"verified to order {order}; transfer certified to bound {bound} (k={d.modulus})"
 
 
 def _check_equivalence(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> tuple[bool, str]:
     for left, right in zip(entry.chain, entry.chain[1:]):
-        eq, witness = equivalent_upto(left, right, bound)
-        if not eq:
+        witness = sieve.equal(left, right, bound)
+        if witness is not None:
             return False, f"{sum_label(left)} vs {sum_label(right)}: differ at {witness}"
     notes = [f"{len(entry.chain) - 1} link(s) hold to bound {bound}"]
     if entry.fields.get("certify") == "members":
         # The links hold, so every member has the first member's values up
         # to the bound: certifying the first certifies them all.
-        verdict = certify_universal(entry.chain[0], bound)
-        if not verdict.universal:
-            return False, f"member {sum_label(entry.chain[0])} missing {verdict.head(3)}"
+        if gaps := sieve.universal(entry.chain[0], bound):
+            return False, f"member {sum_label(entry.chain[0])} missing {gaps[:3]}"
         notes.append(f"all {len(entry.chain)} members certified universal")
     return True, "; ".join(notes)
 
 
 def _check_base_fact(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> tuple[bool, str]:
-    verdict = certify_universal(entry.target, bound)
-    if verdict.universal:
-        return True, f"certified universal up to {bound}"
-    return False, f"missing {verdict.head(5)} up to {bound}"
+    if gaps := sieve.universal(entry.target, bound):
+        return False, f"missing {gaps} up to {bound}"
+    return True, f"certified universal up to {bound}"
 
 
 def _check_target(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> tuple[bool, str]:
-    ok, detail = _check_base_fact(entry, order, bound, catalog)
+    ok, detail = _check_base_fact(entry, order, bound, catalog, sieve)
     if not ok:
         return ok, detail
     notes = [detail]
@@ -446,11 +468,17 @@ _CHECKS = {
 }
 
 
-def check_entry(entry: CatalogEntry, order: int, bound: int, catalog: Catalog) -> Row:
+def check_entry(
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable | None = None
+) -> Row:
+    """Check one entry, reading its sieve answers from sieve, which must have
+    been asked them; with no sieve, from a table of its own questions."""
     check = _CHECKS.get(entry.kind)
     if check is None:
         raise CatalogError(f"unknown kind {entry.kind!r}")
-    ok, detail = check(entry, order, bound, catalog)
+    if sieve is None:
+        sieve = _answered_sieve([entry], bound)
+    ok, detail = check(entry, order, bound, catalog, sieve)
     return Row(entry.key, entry.kind, "pass" if ok else "fail", detail)
 
 
@@ -494,16 +522,15 @@ def run_catalog(
     kinds: tuple[str, ...] | None = None,
     keys: list[str] | None = None,
 ) -> Report:
-    """Check every selected entry and return one row per entry, key-sorted.
+    """Check every selected entry, in key order, and return one row per entry.
 
     An unknown key or kind, or a selection of no entry, is a CatalogError.
 
-    Decomposition rows are checked last, so the check order is not the row
-    order.  They alone certify sums below the full bound, at the bounds
-    derived from the lhs bound; in the packaged catalog every such sum is
-    a theorem sum that other rows certify at the full bound, so its mask
-    is by then the truncation of the widest mask kept for its families, and
-    nothing is folded or kept at a derived bound.
+    Every sieve question of the selected entries is asked of one SieveTable
+    first and answered in one planned walk, each distinct question once,
+    before any row is checked; the rows read their answers from it.  The
+    walk folds into a store of its own and frees each mask after its last
+    use, so the library store polygonal._masks is neither read nor written.
     """
     selected = catalog.entries
     if kinds is not None:
@@ -517,6 +544,6 @@ def run_catalog(
         selected = [e for e in selected if e.key in wanted]
     if not selected:
         raise CatalogError("no catalog entries selected")
-    selected = sorted(selected, key=lambda e: (e.kind == "decomposition", e.key))
-    rows = [check_entry(e, order, bound, catalog) for e in selected]
-    return Report(order, bound, sorted(rows, key=lambda r: r.key))
+    selected = sorted(selected, key=lambda e: e.key)
+    sieve = _answered_sieve(selected, bound)
+    return Report(order, bound, [check_entry(e, order, bound, catalog, sieve) for e in selected])

@@ -11,7 +11,7 @@ only positivity is ever computed, never a representation count.
 
 Every mask is top-aligned: in a mask at bound b, bit i stands for the value
 b - i, so {0} is 1 << b and no mask is wider than b + 1 bits.  One fold
-builds every mask: _prefix_mask(families, bound) shifts the mask of the
+builds every mask: _fold(families, bound, store) shifts the mask of the
 families before the last one right by each of the last family's values,
 starting from {0}; a right shift drops every sum past the bound as it goes.
 A sum is keyed by its family keys in canonical densest-first order
@@ -22,14 +22,20 @@ and a fold stops once no gap is left at or above the next value u, that is
 once the low bound - u + 1 bits are all set: shifting by v sets no bit for
 a value below v, so no later value can fill a gap.  Every value is >= 0, so
 a mask at bound b is the same families' mask at any wider bound w shifted
-right by w - b: one store, _masks, keeps only the widest mask folded for
-each family tuple, and a request below that bound is answered by that
-shift, not by a fold.  A universal tuple, whose mask is full at that bound,
-is kept as its bound alone and read at b as b + 1 one bits, so the store
-holds bound/8 bytes for each non-full entry only.  Verdicts are not
-cached: certify_universal keeps the gaps of the mask as a top-aligned
-mask, counted by bit_count, and lists them in one linear scan of its
-binary digits only when the full list is read.
+right by w - b: a store keeps only the widest mask folded for each family
+tuple, and a request below that bound is answered by that shift, not by a
+fold.  A universal tuple, whose mask is full at that bound, is kept as its
+bound alone, so a store holds bound/8 bytes for each non-full entry only.
+
+There are two stores.  Library calls (sum_value_mask, certify_universal,
+equivalent_upto) share _masks, capped at _MAX_MASKS entries and kept for
+the life of the process.  A SieveTable, which the catalog runs use, is told
+every question of a run before it folds anything: it folds each family
+tuple once, at the widest bound any question needs, into a store of its
+own, and frees each mask after its last use.  Verdicts are not cached:
+certify_universal keeps the gaps of the mask as a top-aligned mask, counted
+by bit_count, and lists them in one linear scan of its binary digits only
+when the full list is read.
 
 A value family is keyed by its theta atom (family_key): QuadTerm(c, A, B)
 has the exponents of the atom (i, j) = (c(A+B)/2, c(A-B)/2), 0 <= i <= j,
@@ -41,7 +47,7 @@ equal keys exactly when they have equal value sets.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, defaultdict, namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd
@@ -143,38 +149,44 @@ def term_from_polygonal(coeff: int, m: int) -> QuadTerm:
     return QuadTerm(coeff, m - 2, -(m - 4))
 
 
-# The widest mask folded for each tuple of family atoms, as (bound, mask),
-# oldest key first; a new key past _MAX_MASKS drops the oldest.  A tuple
-# whose mask is full at that bound, a universal sum, keeps (bound, None),
-# so only the non-full entries hold bound/8 bytes each.
+# The library store: the widest mask folded for each tuple of family atoms,
+# as (bound, mask), oldest key first; a new key past _MAX_MASKS drops the
+# oldest.  A tuple whose mask is full at that bound, a universal sum, keeps
+# (bound, None), so only the non-full entries hold bound/8 bytes each.
+# A SieveTable folds into a store of its own and leaves this one alone.
 _masks: dict[tuple[tuple[int, int], ...], tuple[int, int | None]] = {}
 _MAX_MASKS = 4096
 
 
-def _prefix_mask(families: tuple[tuple[int, int], ...], bound: int) -> int:
-    """Top-aligned mask of the sumset of the given family atoms within [0, bound].
+@lru_cache(maxsize=1)
+def _all_ones(bound: int) -> int:
+    """bound + 1 one bits, the mask of a full tuple; the last one built is
+    shared, so a run that reads many full tuples at one bound builds one."""
+    return (1 << (bound + 1)) - 1
+
+
+def _fold(families: tuple[tuple[int, int], ...], bound: int, store: dict) -> int | None:
+    """Top-aligned mask of the families' sumset within [0, bound], None when full.
 
     A tuple stored at this bound returns the stored mask, and one stored at a
     wider bound returns that mask shifted right to [0, bound]: no value is
-    negative.  A tuple stored as full returns bound + 1 one bits.  A single
-    family sets its values' bits in a bytearray of bound/8 bytes, as
-    shifting {0} right by each value would build a (bound + 1)-bit int per
-    value.  Otherwise the last family's values are folded onto the prefix
-    mask by right shifts.  Every family reaches 0, so the extension of a
-    prefix stored as full is full, with nothing folded.  The values come in
-    increasing order and acc >> v sets no bit for a value below v, so once
-    the low bound - u + 1 bits are all set, u the next value, the rest of
-    the fold changes nothing; that is tested after 2, 4, 8, ... values, and
-    a prefix that is full only once truncated to this bound stops at the
-    first test.  The result replaces the tuple's entry, as None when it is
-    full.
+    negative.  A tuple stored as full returns None.  A single family sets
+    its values' bits in a bytearray of bound/8 bytes, as shifting {0} right
+    by each value would build a (bound + 1)-bit int per value.  Otherwise
+    the last family's values are folded onto the prefix mask by right
+    shifts.  Every family reaches 0, so the extension of a prefix stored as
+    full is full, with nothing folded.  The values come in increasing order
+    and acc >> v sets no bit for a value below v, so once the low
+    bound - u + 1 bits are all set, u the next value, the rest of the fold
+    changes nothing; that is tested after 2, 4, 8, ... values, and a prefix
+    that is full only once truncated to this bound stops at the first test.
+    The result replaces the tuple's entry, as None when it is full; only
+    the library store _masks drops its oldest entry past _MAX_MASKS.
     """
-    stored = _masks.get(families)
+    stored = store.get(families)
     if stored is not None and stored[0] >= bound:
         widest, mask = stored
-        if mask is None:
-            return (1 << (bound + 1)) - 1
-        return mask if widest == bound else mask >> (widest - bound)
+        return mask if mask is None or widest == bound else mask >> (widest - bound)
     i, j = families[-1]
     term = QuadTerm(1, i + j, i - j)
     if len(families) == 1:
@@ -184,8 +196,8 @@ def _prefix_mask(families: tuple[tuple[int, int], ...], bound: int) -> int:
             flags[bit >> 3] |= 1 << (bit & 7)
         mask = int.from_bytes(flags, "little")
     else:
-        mask = acc = _prefix_mask(families[:-1], bound)
-        if _masks[families[:-1]][1] is not None:  # else the prefix is full, and so is mask
+        mask = acc = _fold(families[:-1], bound, store)
+        if acc is not None:  # else the prefix is full, and so is mask
             values = term.values_upto(bound)
             mask = 0
             check = 2
@@ -196,22 +208,35 @@ def _prefix_mask(families: tuple[tuple[int, int], ...], bound: int) -> int:
                     if mask & low == low:
                         break
                     check *= 2
-    if families not in _masks and len(_masks) >= _MAX_MASKS:
-        del _masks[next(iter(_masks))]
-    _masks[families] = (bound, None if mask.bit_count() > bound else mask)
+    if mask is not None and mask.bit_count() > bound:
+        mask = None
+    if store is _masks and families not in store and len(store) >= _MAX_MASKS:
+        del store[next(iter(store))]
+    store[families] = (bound, mask)
     return mask
 
 
-def sum_value_mask(s: PolygonalSum, bound: int) -> int:
+def _prefix_mask(
+    families: tuple[tuple[int, int], ...], bound: int, store: dict | None = None
+) -> int:
+    """_fold into the store, the library store _masks by default, with a full
+    mask read as bound + 1 one bits."""
+    mask = _fold(families, bound, _masks if store is None else store)
+    return _all_ones(bound) if mask is None else mask
+
+
+def sum_value_mask(s: PolygonalSum, bound: int, store: dict | None = None) -> int:
     """Top-aligned mask of the representable integers in [0, bound].
 
     Bit i is set when bound - i is a value of s.  Spellings with the same
     family keys (permuted, rescaled, or p6 for p3) share one mask, and sums
-    sharing a prefix of sum_families share its folds.
+    sharing a prefix of sum_families share its folds.  The store read and
+    filled is the library store _masks unless a SieveTable passes its own,
+    as it does to certify_universal and equivalent_upto.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    return _prefix_mask(sum_families(s), bound)
+    return _prefix_mask(sum_families(s), bound, store)
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -230,24 +255,117 @@ def _mask_bits(mask: int, bound: int) -> list[int]:
     return list(compress(range(start, start + len(flags)), flags))
 
 
-def certify_universal(s: PolygonalSum, bound: int) -> UniversalityVerdict:
-    """Sieve every integer in [0, bound]; the verdict keeps the gap mask."""
-    mask = sum_value_mask(s, bound)  # rejects a bound below 1 before any shift
-    return UniversalityVerdict(bound, ((1 << (bound + 1)) - 1) ^ mask)
+def certify_universal(
+    s: PolygonalSum, bound: int, store: dict | None = None
+) -> UniversalityVerdict:
+    """Sieve every integer in [0, bound]; the verdict keeps the gap mask.
+
+    A sum whose tuple the store holds as full at this bound or a wider one
+    is universal, with no all-ones int built and no XOR.
+    """
+    stored = (_masks if store is None else store).get(sum_families(s))
+    if stored is not None and stored[1] is None and 1 <= bound <= stored[0]:
+        return UniversalityVerdict(bound)
+    mask = sum_value_mask(s, bound, store)  # rejects a bound below 1 before any shift
+    return UniversalityVerdict(bound, _all_ones(bound) ^ mask)
 
 
 def equivalent_upto(
-    s1: PolygonalSum, s2: PolygonalSum, bound: int
+    s1: PolygonalSum, s2: PolygonalSum, bound: int, store: dict | None = None
 ) -> tuple[bool, int | None]:
     """Set equality of the two value sets within [0, bound].
 
     Returns (True, None) or (False, w) with w the least witness present in
     exactly one of the sets: the highest set bit of the masks' difference.
     """
-    diff = sum_value_mask(s1, bound) ^ sum_value_mask(s2, bound)
+    diff = sum_value_mask(s1, bound, store) ^ sum_value_mask(s2, bound, store)
     if diff == 0:
         return True, None
     return False, bound - (diff.bit_length() - 1)
+
+
+class SieveTable:
+    """Universality and equality questions about sums, each sieved once.
+
+    ask_universal and ask_equal collect questions, keyed by sum_families
+    so that spellings of one sum share an answer; answer() sieves them all.
+    Then universal(s, bound) is the first GAP_HEAD gaps of s up to bound,
+    () when s is universal there, and equal(s1, s2, bound) the least value
+    in exactly one of the two value sets, None when they agree.  Reading a
+    question that was not asked raises KeyError; nothing is folded then.
+
+    answer() walks the trie of the asked family tuples and their prefixes
+    in sorted order, which is depth first.  Each node is folded once, into
+    this table's own store, at the widest bound asked of it or of any tuple
+    below it, so its prefix is already stored and every lower bound is read
+    by truncation.  A question is answered by certify_universal or
+    equivalent_upto on that store right after the fold of its last tuple.
+    A node's entry is dropped once its extensions are folded and its
+    questions answered, so only the current path and the tuples that wait
+    for the other side of an equality question hold masks; once every
+    question is answered, the store and the questions are empty.
+    """
+
+    GAP_HEAD = 5
+
+    def __init__(self):
+        self.questions: dict[tuple, tuple[PolygonalSum, ...]] = {}
+        self.answers: dict[tuple, tuple[int, ...] | int | None] = {}
+        self.store: dict[tuple[tuple[int, int], ...], tuple[int, int | None]] = {}
+
+    @staticmethod
+    def _equal_key(s1: PolygonalSum, s2: PolygonalSum, bound: int) -> tuple:
+        return (*sorted((sum_families(s1), sum_families(s2))), bound)
+
+    def ask_universal(self, s: PolygonalSum, bound: int) -> None:
+        self.questions.setdefault((sum_families(s), bound), (s,))
+
+    def ask_equal(self, s1: PolygonalSum, s2: PolygonalSum, bound: int) -> None:
+        self.questions.setdefault(self._equal_key(s1, s2, bound), (s1, s2))
+
+    def universal(self, s: PolygonalSum, bound: int) -> tuple[int, ...]:
+        return self.answers[(sum_families(s), bound)]
+
+    def equal(self, s1: PolygonalSum, s2: PolygonalSum, bound: int) -> int | None:
+        return self.answers[self._equal_key(s1, s2, bound)]
+
+    def answer(self) -> None:
+        widest: dict[tuple, int] = {}
+        uses: Counter = Counter()  # extensions and questions not yet served
+        due = defaultdict(list)  # questions by the tuple folded last of theirs
+        for key in self.questions:
+            *tuples, bound = key
+            for families in set(tuples):
+                uses[families] += 1
+                # A prefix is folded at least as wide as any tuple below it.
+                while families and widest.get(families, 0) < bound:
+                    widest[families] = bound
+                    families = families[:-1]
+            due[max(tuples)].append(key)
+        for node in widest:
+            if len(node) > 1:
+                uses[node[:-1]] += 1
+        store = self.store
+
+        def release(families):
+            uses[families] -= 1
+            if not uses[families]:
+                del store[families]
+
+        for node in sorted(widest):
+            _fold(node, widest[node], store)
+            if len(node) > 1:
+                release(node[:-1])
+            for key in due.pop(node, ()):
+                *tuples, bound = key
+                sums = self.questions.pop(key)
+                if len(sums) == 1:
+                    verdict = certify_universal(sums[0], bound, store)
+                    self.answers[key] = verdict.head(self.GAP_HEAD)
+                else:
+                    self.answers[key] = equivalent_upto(*sums, bound, store)[1]
+                for families in set(tuples):
+                    release(families)
 
 
 def family_key(term: QuadTerm) -> tuple[int, int]:

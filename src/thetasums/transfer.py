@@ -8,7 +8,7 @@ becomes the family x((i+j)x + i-j)/2, with the factor k divided out on the
 right, and polygonal.family_key keys that family by the atom again), and
 universality propagates along the exponent map e = k*m + (r-1):
 the catalog certifies the lhs sum up to its bound and then each rhs sum up
-to the largest m with k*m + (r-1) <= bound.
+to the largest m with k*m + (r-1) <= bound (derived_bounds).
 
 verify_decomposition is the one decomposition check, and it checks the way
 the paper proves: given lemmas, derive_decomposition rewrites the lhs with
@@ -246,3 +246,8 @@ def derive_sums(d: Decomposition) -> tuple[PolygonalSum, tuple[PolygonalSum, ...
         return PolygonalSum(tuple(terms))
 
     return read(d.lhs.atoms, 1), tuple(read(t.atoms, d.modulus) for t in d.rhs)
+
+
+def derived_bounds(d: Decomposition, bound: int) -> list[int]:
+    """Per rhs term, the largest m with k*m + shift <= bound, at least 1."""
+    return [max(1, (bound - t.shift) // d.modulus) for t in d.rhs]

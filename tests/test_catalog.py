@@ -2,6 +2,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thetasums import catalog as catalog_module
 from thetasums import polygonal, transfer
@@ -375,7 +377,9 @@ def test_run_checks_the_given_catalog():
     ]
 
 
-def test_derived_bounds_are_answered_from_full_bound_masks(catalog, monkeypatch):
+def test_derived_bounds_are_answered_from_full_bound_masks(
+    catalog, monkeypatch, sieve_tables
+):
     # Q1 (k = 4) certifies its rhs sums, thm3.1-01..04, up to the derived
     # bounds 10240 and 10239; the target rows certify them up to 40961.
     keys = ["Q1", "thm3.1-01", "thm3.1-02", "thm3.1-03", "thm3.1-04"]
@@ -388,14 +392,71 @@ def test_derived_bounds_are_answered_from_full_bound_masks(catalog, monkeypatch)
         return values_upto(term, b)
 
     monkeypatch.setattr(QuadTerm, "values_upto", counted)
-    # Forget masks folded at wider bounds by earlier tests.
-    monkeypatch.setattr(polygonal, "_masks", {})
     rows = run_catalog(catalog, order=order, bound=bound, keys=keys).rows
     assert bound in folded
     assert not {10239, 10240} & set(folded)
+    # The run's own store keeps every tuple at the full bound only.
+    assert {b for _, (b, _) in sieve_tables[0].store.written} == {bound}
     assert [r.key for r in rows] == keys
     assert rows == [
         run_catalog(catalog, order=order, bound=bound, keys=[k]).rows[0] for k in keys
+    ]
+
+
+class UntouchableStore(dict):
+    def get(self, *args):
+        raise AssertionError("the library store was read")
+
+    __getitem__ = __contains__ = get
+
+    def __setitem__(self, *args):
+        raise AssertionError("the library store was written")
+
+
+def test_a_run_folds_each_tuple_once_and_frees_every_mask(catalog, monkeypatch, sieve_tables):
+    monkeypatch.setattr(polygonal, "_masks", UntouchableStore())
+    folds = []
+    values_upto = QuadTerm.values_upto
+
+    def counted(term, b):
+        out = values_upto(term, b)
+        folds.append(len(out))
+        return out
+
+    monkeypatch.setattr(QuadTerm, "values_upto", counted)
+    assert run_catalog(catalog, order=200, bound=50000).ok
+    assert (len(folds), sum(folds)) == (154, 29451)
+    [table] = sieve_tables
+    assert table.store == {} and table.questions == {}
+    # The library store used to keep 43 masks after this run.
+    assert 0 < table.store.peak_masks <= 7
+
+
+@pytest.fixture(scope="module")
+def broken_keys(broken_catalog):
+    return sorted(broken_catalog.by_key)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data(), bound=st.integers(1, 3000))
+def test_a_planned_run_gives_the_rows_of_one_entry_at_a_time(
+    broken_catalog, broken_keys, data, bound
+):
+    def some(values, most):
+        return st.lists(st.sampled_from(values), min_size=1, max_size=most, unique=True)
+
+    kinds = data.draw(st.none() | some(sorted(FIELDS), len(FIELDS)))
+    keys = data.draw(st.none() | some(broken_keys, 25))
+    selected = sorted(
+        e.key
+        for e in broken_catalog.entries
+        if (kinds is None or e.kind in kinds) and (keys is None or e.key in keys)
+    )
+    assume(selected)
+    order = 120
+    report = run_catalog(broken_catalog, order=order, bound=bound, kinds=kinds, keys=keys)
+    assert report.rows == [
+        check_entry(broken_catalog.by_key[k], order, bound, broken_catalog) for k in selected
     ]
 
 
@@ -565,6 +626,25 @@ chain: p3 + p3 ~ x(1x+1)/2 + p3
 certify: members
 """
 
+# A chain whose first and third links fail and whose members are not
+# universal: only the first failing link is reported.
+TWO_BROKEN_LINKS = """
+[broken-links] kind: equivalence ref: "links 1 and 3 differ"
+chain: p3 + p3 ~ p4 + p3 ~ p3 + p4 ~ p8 + p3
+certify: members
+"""
+
+# A true decomposition whose lhs sum takes even values only.  Its rhs sum,
+# p4 + p4 + p4, misses 7, but only a certified lhs transfers, so the row
+# reports the lhs and the base and says nothing of the rhs sum.
+EVEN_SQUARES = """
+[even-squares] kind: decomposition ref: "every atom already in q^2"
+lhs: phi(q^2)^3
+modulus: 2
+rhs: phi(q^2)^3
+base: p4 + p4 + p4
+"""
+
 
 @pytest.fixture(scope="module")
 def broken_catalog():
@@ -576,12 +656,14 @@ def broken_catalog():
     for old, new in BROKEN_EDITS:
         assert text.count(old) == 1, old
         text = text.replace(old, new)
-    return Catalog(parse_catalog_text(text + EVEN_DECOMPOSITION + NON_UNIVERSAL_CHAIN))
+    extra = EVEN_DECOMPOSITION + NON_UNIVERSAL_CHAIN + TWO_BROKEN_LINKS + EVEN_SQUARES
+    return Catalog(parse_catalog_text(text + extra))
 
 
 def test_failing_rows_keep_their_exact_details(broken_catalog):
     keys = [
-        "Q1", "Q2", "Q3", "eq-2.20", "eq-2.26-i3", "thm3.1-01", "thm3.1-05", "even-d", "two-p3"
+        "Q1", "Q2", "Q3", "eq-2.20", "eq-2.26-i3", "thm3.1-01", "thm3.1-05", "even-d", "two-p3",
+        "broken-links", "even-squares",
     ]
     rows = run_catalog(broken_catalog, order=1000, bound=1000, keys=keys).rows
     assert [(r.key, r.status, r.detail) for r in rows] == [
@@ -592,9 +674,16 @@ def test_failing_rows_keep_their_exact_details(broken_catalog):
             "fail",
             "claim 2 is 6*p3 + p5 + 4*p5 + p8 but the atoms give 6*p3 + p5 + 2*p5 + p8",
         ),
+        ("broken-links", "fail", "p3 + p3 vs p3 + p4: differ at 5"),
         ("eq-2.20", "fail", "first difference at q^1: 2 vs 3"),
         ("eq-2.26-i3", "fail", "2*p5 + p8 vs 3*p3 + x(5x-1)/2: differ at 1"),
         ("even-d", "fail", "lhs sum 2*p3 + 2*p4 + 2*p5 + 2*x(5x-1)/2 missing (1, 3, 5)"),
+        (
+            "even-squares",
+            "fail",
+            "lhs sum 2*p4 + 2*p4 + 2*p4 missing (1, 3, 5); base p4 + p4 + p4 not certified; "
+            "lhs and base value sets differ at 1",
+        ),
         (
             "thm3.1-01",
             "fail",

@@ -269,17 +269,28 @@ def test_runs_that_select_nothing_exit_2(tmp_path, capsys, command, catalog, mes
             ("reproduce", "all", "--catalog", "{long_via}"),
             "long-via.cat:3: [t]: via residue term has too many digits",
         ),
+        (
+            ("reproduce", "all", "--catalog", "{long_modulus}"),
+            "long-modulus.cat:3: [d]: modulus has too many digits",
+        ),
     ],
     ids=[
         "expand-order", "universal-bound", "equiv-bound", "verify-order",
         "parse-error-before-bound", "bound-before-missing-catalog", "verify-all-and-a-key",
-        "over-long-via-residue",
+        "over-long-via-residue", "over-long-modulus",
     ],
 )
 def test_a_bad_argument_value_is_one_error_line(tmp_path, capsys, argv, message):
     long_via = tmp_path / "long-via.cat"
     long_via.write_text("[t] kind: target-sum\nsum: p3 + p3 + p3\nvia: Q1 r" + "9" * 5000 + "\n")
-    argv = [a.format(missing=tmp_path / "missing", long_via=long_via) for a in argv]
+    long_modulus = tmp_path / "long-modulus.cat"
+    long_modulus.write_text(
+        "[d] kind: decomposition\nlhs: phi(q)^3\nmodulus: " + "9" * 5000 + "\nrhs: phi(q)^3\n"
+    )
+    argv = [
+        a.format(missing=tmp_path / "missing", long_via=long_via, long_modulus=long_modulus)
+        for a in argv
+    ]
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from thetasums.dsl import parse_polygonal_sum
 from thetasums.polygonal import (
     PolygonalSum,
     QuadTerm,
+    SieveTable,
     _mask_bits,
     _prefix_mask,
     _shape,
@@ -573,10 +575,112 @@ def test_sums_asked_at_mixed_bounds_match_a_fresh_fold(requests):
         assert all(m is None or m.bit_count() <= b for b, m in masks.values())
 
 
-def test_a_catalog_run_stores_no_full_mask(catalog, fresh_masks):
+def test_a_catalog_run_stores_no_full_mask(catalog, fresh_masks, sieve_tables):
+    # The run folds into a store of its own; every entry written there is
+    # either a non-full mask or a full tuple kept as its bound.
     run_catalog(catalog, order=200, bound=20000)
-    assert all(m is None or m.bit_count() <= b for b, m in fresh_masks.values())
-    assert sum(m is None for _, m in fresh_masks.values()) > 50
+    [table] = sieve_tables
+    written = [entry for _, entry in table.store.written]
+    assert all(m is None or m.bit_count() <= b for b, m in written)
+    assert sum(m is None for _, m in written) > 50
+    assert table.store == {} and fresh_masks == {}
+
+
+def test_certify_reads_a_tuple_stored_as_full_without_building_a_mask(fresh_masks):
+    bound = 200_000
+    gauss = parse_polygonal_sum("p3 + p3 + p3")
+    assert certify_universal(gauss, bound).universal
+    assert fresh_masks[sum_families(gauss)] == (bound, None)
+    polygonal._all_ones.cache_clear()
+    tracemalloc.start()
+    try:
+        verdict = certify_universal(gauss, bound - 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (verdict.bound, verdict.gaps) == (bound - 7, 0)
+    assert peak < bound // 80
+    # Stored as full below 68 says nothing above it: p3 + p4 + 6*p8 misses 68.
+    gapped = parse_polygonal_sum("p3 + p4 + 6*p8")
+    assert certify_universal(gapped, 67).universal
+    assert fresh_masks[sum_families(gapped)] == (67, None)
+    assert certify_universal(gapped, 3000).head(1) == (68,)
+
+
+# Sums whose tuples share prefixes, or are prefixes of one another, and
+# sums whose value sets are equal under other spellings.
+SIEVED = [
+    parse_polygonal_sum(text)
+    for text in (
+        "p3 + p3 + p3", "p3 + p3 + p3 + p4", "p8 + p8 + p8", "p8 + p8 + p8 + 2*p8",
+        "p8 + p8 + p8 + 3*p8", "p3 + p4 + 6*p8", "p3 + p4 + 6*p8 + 7*p8", "p4 + p4",
+        "p4 + x(2x-2)/2", "p3 + p3", "p6 + p3",
+    )
+]
+sieved_sums = st.one_of(
+    st.sampled_from(SIEVED),
+    st.lists(drawn_terms, min_size=1, max_size=4).map(lambda ts: PolygonalSum(tuple(ts))),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(sieved_sums, st.integers(1, 1500)),
+            st.tuples(sieved_sums, sieved_sums, st.integers(1, 1500)),
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_a_sieve_table_answers_as_the_library_calls_do(questions):
+    table = SieveTable()
+    for *sums, bound in questions:
+        (table.ask_universal if len(sums) == 1 else table.ask_equal)(*sums, bound)
+    with pytest.MonkeyPatch.context() as patch:
+        library = {}
+        patch.setattr(polygonal, "_masks", library)
+        table.answer()
+        assert library == {}
+        for *sums, bound in questions:
+            if len(sums) == 1:
+                expected = tuple(brute_missing(sums[0], bound))[: SieveTable.GAP_HEAD]
+                assert table.universal(sums[0], bound) == expected
+            else:
+                assert table.equal(*sums, bound) == equivalent_upto(*sums, bound)[1]
+    assert table.store == {} and table.questions == {}
+
+
+def test_a_question_not_asked_raises_and_folds_nothing(folds):
+    table = SieveTable()
+    gauss = parse_polygonal_sum("p3 + p3 + p3")
+    table.ask_universal(gauss, 500)
+    table.answer()
+    folds.clear()
+    with pytest.raises(KeyError):
+        table.universal(gauss, 499)
+    with pytest.raises(KeyError):
+        table.equal(gauss, gauss, 500)
+    assert folds == []
+    assert table.universal(parse_polygonal_sum("p6 + p3 + p3"), 500) == ()
+
+
+def test_a_sieve_table_folds_each_tuple_once_at_its_widest_bound(folds):
+    # p8 + p8 + p8 is asked at 300 and its extension at 900, so the prefix
+    # is folded once, at 900; the equality question reads both at 600.
+    table = SieveTable()
+    prefix = parse_polygonal_sum("p8 + p8 + p8")
+    extended = parse_polygonal_sum("p8 + p8 + p8 + 2*p8")
+    table.ask_universal(prefix, 300)
+    table.ask_universal(extended, 900)
+    table.ask_equal(prefix, extended, 600)
+    table.answer()
+    families = sum_families(extended)
+    assert folds == [(f, 900) for f in families]
+    assert table.universal(prefix, 300) == tuple(brute_missing(prefix, 300))[:5]
+    assert table.equal(extended, prefix, 600) == equivalent_upto(prefix, extended, 600)[1]
+    assert table.store == {}
 
 
 def test_the_mask_store_drops_its_oldest_entry_past_the_cap(fresh_masks, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from thetasums import catalog as catalog_module
 from thetasums.catalog import Catalog, parse_catalog_text, run_catalog
 from thetasums.dsl import parse_polygonal_sum, parse_theta_expression
-from thetasums.polygonal import certify_universal, sum_families
+from thetasums.polygonal import SieveTable, certify_universal, sum_families
 from thetasums.theta import ProductTerm, ThetaAtom
 from thetasums.transfer import (
     MAX_PROOF_STEPS,
@@ -272,12 +272,13 @@ def test_rhs_bound(monkeypatch):
     # A passing row certifies the lhs sum up to the bound, then each rhs
     # sum up to the largest m with 4*m + shift <= bound, and at least 1.
     calls = []
+    read = SieveTable.universal
 
-    def spy(s, b):
+    def spy(table, s, b):
         calls.append((s, b))
-        return certify_universal(s, b)
+        return read(table, s, b)
 
-    monkeypatch.setattr(catalog_module, "certify_universal", spy)
+    monkeypatch.setattr(SieveTable, "universal", spy)
     catalog = Catalog(parse_catalog_text(Q1_TEXT))
     lhs_sum, rhs_sums = derive_sums(catalog.by_key["Q1"].decomposition)
     for bound, derived in ((50000, (12500, 12499, 12499, 12499)), (43, (10,) * 4), (3, (1,) * 4)):
