@@ -36,10 +36,11 @@ largest m with k*m + shift <= bound.  Nothing is checked at load time.
 
 Each kind has one check, which returns (ok, detail); check_entry builds
 the entry's Row from it.  A check reads its sieve answers from a
-polygonal.SieveTable asked every question the check may read
-(_answered_sieve); run_catalog asks one table for all the selected
-entries, so each distinct question is sieved once.  A Row is an immutable namedtuple;
-CatalogEntry, Catalog and Report are plain records.
+polygonal.SieveTable, and beside each check that reads one is the function
+that asks every question the check may read; _CHECKS pairs the two.
+run_catalog asks one table for all the selected entries, so each distinct
+question is sieved once.  A Row is an immutable namedtuple; CatalogEntry,
+Catalog and Report are plain records.
 """
 
 from __future__ import annotations
@@ -296,30 +297,6 @@ class Row(namedtuple("Row", "key kind status detail")):
         return self.status == "pass"
 
 
-def _answered_sieve(entries: list[CatalogEntry], bound: int) -> SieveTable:
-    """A SieveTable asked every sieve question that the entries' checks may
-    read, whatever the answers to the others, and then answered."""
-    sieve = SieveTable()
-    for e in entries:
-        if e.kind == "decomposition":
-            lhs_sum, rhs_sums = derive_sums(e.decomposition)
-            sieve.ask_universal(lhs_sum, bound)
-            for s, derived in zip(rhs_sums, derived_bounds(e.decomposition, bound)):
-                sieve.ask_universal(s, derived)
-            if e.base is not None:
-                sieve.ask_universal(e.base, bound)
-                sieve.ask_equal(lhs_sum, e.base, bound)
-        elif e.kind == "equivalence":
-            for left, right in zip(e.chain, e.chain[1:]):
-                sieve.ask_equal(left, right, bound)
-            if e.fields.get("certify") == "members":
-                sieve.ask_universal(e.chain[0], bound)
-        elif e.kind in ("base-fact", "target-sum"):
-            sieve.ask_universal(e.target, bound)
-    sieve.answer()
-    return sieve
-
-
 def _check_identity(
     entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> tuple[bool, str]:
@@ -339,6 +316,16 @@ def _match_claims(
                 f"{sum_label(derived)}"
             )
     return None
+
+
+def _ask_decomposition(entry: CatalogEntry, bound: int, sieve: SieveTable) -> None:
+    lhs_sum, rhs_sums = derive_sums(entry.decomposition)
+    sieve.ask_universal(lhs_sum, bound)
+    for s, derived in zip(rhs_sums, derived_bounds(entry.decomposition, bound)):
+        sieve.ask_universal(s, derived)
+    if entry.base is not None:
+        sieve.ask_universal(entry.base, bound)
+        sieve.ask_equal(lhs_sum, entry.base, bound)
 
 
 def _check_decomposition(
@@ -374,6 +361,13 @@ def _check_decomposition(
     return True, f"verified to order {order}; transfer certified to bound {bound} (k={d.modulus})"
 
 
+def _ask_equivalence(entry: CatalogEntry, bound: int, sieve: SieveTable) -> None:
+    for left, right in zip(entry.chain, entry.chain[1:]):
+        sieve.ask_equal(left, right, bound)
+    if entry.fields.get("certify") == "members":
+        sieve.ask_universal(entry.chain[0], bound)
+
+
 def _check_equivalence(
     entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> tuple[bool, str]:
@@ -389,6 +383,10 @@ def _check_equivalence(
             return False, f"member {sum_label(entry.chain[0])} missing {gaps[:3]}"
         notes.append(f"all {len(entry.chain)} members certified universal")
     return True, "; ".join(notes)
+
+
+def _ask_target(entry: CatalogEntry, bound: int, sieve: SieveTable) -> None:
+    sieve.ask_universal(entry.target, bound)
 
 
 def _check_base_fact(
@@ -459,13 +457,27 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
     return f"via {entry.via!r} must name a decomposition or equivalence"
 
 
+# Per kind, the function that asks a SieveTable every question the check
+# may read, whatever the answers to the others (None: the check reads no
+# sieve), and the check.
 _CHECKS = {
-    "identity": _check_identity,
-    "decomposition": _check_decomposition,
-    "equivalence": _check_equivalence,
-    "base-fact": _check_base_fact,
-    "target-sum": _check_target,
+    "identity": (None, _check_identity),
+    "decomposition": (_ask_decomposition, _check_decomposition),
+    "equivalence": (_ask_equivalence, _check_equivalence),
+    "base-fact": (_ask_target, _check_base_fact),
+    "target-sum": (_ask_target, _check_target),
 }
+
+
+def _answered_sieve(entries: list[CatalogEntry], bound: int) -> SieveTable:
+    """A SieveTable asked every question of the entries' checks, answered."""
+    sieve = SieveTable()
+    for e in entries:
+        ask, _check = _CHECKS[e.kind]
+        if ask is not None:
+            ask(e, bound, sieve)
+    sieve.answer()
+    return sieve
 
 
 def check_entry(
@@ -473,9 +485,9 @@ def check_entry(
 ) -> Row:
     """Check one entry, reading its sieve answers from sieve, which must have
     been asked them; with no sieve, from a table of its own questions."""
-    check = _CHECKS.get(entry.kind)
-    if check is None:
+    if entry.kind not in _CHECKS:
         raise CatalogError(f"unknown kind {entry.kind!r}")
+    _ask, check = _CHECKS[entry.kind]
     if sieve is None:
         sieve = _answered_sieve([entry], bound)
     ok, detail = check(entry, order, bound, catalog, sieve)

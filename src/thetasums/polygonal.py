@@ -28,14 +28,16 @@ fold.  A universal tuple, whose mask is full at that bound, is kept as its
 bound alone, so a store holds bound/8 bytes for each non-full entry only.
 
 There are two stores.  Library calls (sum_value_mask, certify_universal,
-equivalent_upto) share _masks, capped at _MAX_MASKS entries and kept for
-the life of the process.  A SieveTable, which the catalog runs use, is told
-every question of a run before it folds anything: it folds each family
-tuple once, at the widest bound any question needs, into a store of its
-own, and frees each mask after its last use.  Verdicts are not cached:
-certify_universal keeps the gaps of the mask as a top-aligned mask, counted
-by bit_count, and lists them in one linear scan of its binary digits only
-when the full list is read.
+equivalent_upto) share _masks, kept for the life of the process and cut
+back to _MAX_MASKS entries after each fold.  A SieveTable, which the
+catalog runs use, is told every question of a run before it folds
+anything: it folds each family tuple once, at the widest bound any
+question needs, into a store of its own, and frees each mask after its
+last use.  A full tuple is universal, and two full tuples are equal, with
+no all-ones int built.  Verdicts are not cached: certify_universal keeps
+the gaps of the mask as a top-aligned mask, counted by bit_count, and
+lists them in one linear scan of its binary digits only when the full list
+is read.
 
 A value family is keyed by its theta atom (family_key): QuadTerm(c, A, B)
 has the exponents of the atom (i, j) = (c(A+B)/2, c(A-B)/2), 0 <= i <= j,
@@ -150,19 +152,13 @@ def term_from_polygonal(coeff: int, m: int) -> QuadTerm:
 
 
 # The library store: the widest mask folded for each tuple of family atoms,
-# as (bound, mask), oldest key first; a new key past _MAX_MASKS drops the
-# oldest.  A tuple whose mask is full at that bound, a universal sum, keeps
-# (bound, None), so only the non-full entries hold bound/8 bytes each.
+# as (bound, mask), oldest key first; sum_value_mask drops the oldest keys
+# past _MAX_MASKS after each fold.  A tuple whose mask is full at that bound,
+# a universal sum, keeps (bound, None), so only the non-full entries hold
+# bound/8 bytes each.
 # A SieveTable folds into a store of its own and leaves this one alone.
 _masks: dict[tuple[tuple[int, int], ...], tuple[int, int | None]] = {}
 _MAX_MASKS = 4096
-
-
-@lru_cache(maxsize=1)
-def _all_ones(bound: int) -> int:
-    """bound + 1 one bits, the mask of a full tuple; the last one built is
-    shared, so a run that reads many full tuples at one bound builds one."""
-    return (1 << (bound + 1)) - 1
 
 
 def _fold(families: tuple[tuple[int, int], ...], bound: int, store: dict) -> int | None:
@@ -180,8 +176,7 @@ def _fold(families: tuple[tuple[int, int], ...], bound: int, store: dict) -> int
     bound - u + 1 bits are all set, u the next value, the rest of the fold
     changes nothing; that is tested after 2, 4, 8, ... values, and a prefix
     that is full only once truncated to this bound stops at the first test.
-    The result replaces the tuple's entry, as None when it is full; only
-    the library store _masks drops its oldest entry past _MAX_MASKS.
+    The result replaces the tuple's entry, as None when it is full.
     """
     stored = store.get(families)
     if stored is not None and stored[0] >= bound:
@@ -210,19 +205,8 @@ def _fold(families: tuple[tuple[int, int], ...], bound: int, store: dict) -> int
                     check *= 2
     if mask is not None and mask.bit_count() > bound:
         mask = None
-    if store is _masks and families not in store and len(store) >= _MAX_MASKS:
-        del store[next(iter(store))]
     store[families] = (bound, mask)
     return mask
-
-
-def _prefix_mask(
-    families: tuple[tuple[int, int], ...], bound: int, store: dict | None = None
-) -> int:
-    """_fold into the store, the library store _masks by default, with a full
-    mask read as bound + 1 one bits."""
-    mask = _fold(families, bound, _masks if store is None else store)
-    return _all_ones(bound) if mask is None else mask
 
 
 def sum_value_mask(s: PolygonalSum, bound: int, store: dict | None = None) -> int:
@@ -231,12 +215,23 @@ def sum_value_mask(s: PolygonalSum, bound: int, store: dict | None = None) -> in
     Bit i is set when bound - i is a value of s.  Spellings with the same
     family keys (permuted, rescaled, or p6 for p3) share one mask, and sums
     sharing a prefix of sum_families share its folds.  The store read and
-    filled is the library store _masks unless a SieveTable passes its own,
-    as it does to certify_universal and equivalent_upto.
+    filled is the library store _masks, cut back to its _MAX_MASKS newest
+    keys afterwards, unless a SieveTable passes its own, as it does to
+    certify_universal and equivalent_upto.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    return _prefix_mask(sum_families(s), bound, store)
+    mask = _fold(sum_families(s), bound, _masks if store is None else store)
+    while len(_masks) > _MAX_MASKS:
+        del _masks[next(iter(_masks))]
+    return (1 << (bound + 1)) - 1 if mask is None else mask
+
+
+def _stored_full(s: PolygonalSum, bound: int, store: dict | None) -> bool:
+    """Whether the store holds the tuple of s as full at this bound or a
+    wider one, so s is universal up to the bound, which must be >= 1."""
+    stored = (_masks if store is None else store).get(sum_families(s))
+    return stored is not None and stored[1] is None and 1 <= bound <= stored[0]
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -263,11 +258,10 @@ def certify_universal(
     A sum whose tuple the store holds as full at this bound or a wider one
     is universal, with no all-ones int built and no XOR.
     """
-    stored = (_masks if store is None else store).get(sum_families(s))
-    if stored is not None and stored[1] is None and 1 <= bound <= stored[0]:
+    if _stored_full(s, bound, store):
         return UniversalityVerdict(bound)
     mask = sum_value_mask(s, bound, store)  # rejects a bound below 1 before any shift
-    return UniversalityVerdict(bound, _all_ones(bound) ^ mask)
+    return UniversalityVerdict(bound, ((1 << (bound + 1)) - 1) ^ mask)
 
 
 def equivalent_upto(
@@ -277,7 +271,11 @@ def equivalent_upto(
 
     Returns (True, None) or (False, w) with w the least witness present in
     exactly one of the sets: the highest set bit of the masks' difference.
+    Two sums whose tuples the store holds as full are equal, with no
+    all-ones int built.
     """
+    if _stored_full(s1, bound, store) and _stored_full(s2, bound, store):
+        return True, None
     diff = sum_value_mask(s1, bound, store) ^ sum_value_mask(s2, bound, store)
     if diff == 0:
         return True, None
@@ -299,11 +297,13 @@ class SieveTable:
     this table's own store, at the widest bound asked of it or of any tuple
     below it, so its prefix is already stored and every lower bound is read
     by truncation.  A question is answered by certify_universal or
-    equivalent_upto on that store right after the fold of its last tuple.
-    A node's entry is dropped once its extensions are folded and its
-    questions answered, so only the current path and the tuples that wait
-    for the other side of an equality question hold masks; once every
-    question is answered, the store and the questions are empty.
+    equivalent_upto on that store right after the fold of its last tuple,
+    so a full tuple is universal, and two full tuples equal, with no
+    all-ones int built.  A node's entry is dropped once its extensions are
+    folded and its questions answered, so only the current path and the
+    tuples that wait for the other side of an equality question hold masks;
+    once every question is answered, the store and the questions are empty.
+    The library store _masks is neither read nor written.
     """
 
     GAP_HEAD = 5
@@ -317,11 +317,16 @@ class SieveTable:
     def _equal_key(s1: PolygonalSum, s2: PolygonalSum, bound: int) -> tuple:
         return (*sorted((sum_families(s1), sum_families(s2))), bound)
 
+    def _ask(self, key: tuple, sums: tuple[PolygonalSum, ...]) -> None:
+        if key[-1] < 1:
+            raise ValueError("bound must be >= 1")
+        self.questions.setdefault(key, sums)
+
     def ask_universal(self, s: PolygonalSum, bound: int) -> None:
-        self.questions.setdefault((sum_families(s), bound), (s,))
+        self._ask((sum_families(s), bound), (s,))
 
     def ask_equal(self, s1: PolygonalSum, s2: PolygonalSum, bound: int) -> None:
-        self.questions.setdefault(self._equal_key(s1, s2, bound), (s1, s2))
+        self._ask(self._equal_key(s1, s2, bound), (s1, s2))
 
     def universal(self, s: PolygonalSum, bound: int) -> tuple[int, ...]:
         return self.answers[(sum_families(s), bound)]

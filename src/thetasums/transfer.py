@@ -235,10 +235,13 @@ def derive_decomposition(
     return None
 
 
+@lru_cache(maxsize=256)
 def derive_sums(d: Decomposition) -> tuple[PolygonalSum, tuple[PolygonalSum, ...]]:
     """The lhs sum and one sum per rhs term, read off the atoms.
 
     Multipliers play no role; rhs atom exponents are divided by the modulus.
+    A catalog run reads each decomposition's sums several times: when it
+    asks the sieve, in the row's check and in each 'via' that names it.
     """
 
     def read(atoms, k):

@@ -432,6 +432,15 @@ def test_a_run_folds_each_tuple_once_and_frees_every_mask(catalog, monkeypatch, 
     assert 0 < table.store.peak_masks <= 7
 
 
+def test_a_run_rejects_a_bound_below_one(catalog):
+    # A run that asks the sieve anything refuses the bound before it folds.
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            run_catalog(catalog, order=50, bound=bound, keys=["Q1", "eq-2.12"])
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            check_entry(catalog.by_key["Q1"], 50, bound, catalog)
+
+
 @pytest.fixture(scope="module")
 def broken_keys(broken_catalog):
     return sorted(broken_catalog.by_key)

@@ -13,8 +13,8 @@ from thetasums.polygonal import (
     PolygonalSum,
     QuadTerm,
     SieveTable,
+    _fold,
     _mask_bits,
-    _prefix_mask,
     _shape,
     certify_universal,
     equivalent_upto,
@@ -346,7 +346,7 @@ def test_certify_and_equivalence_share_one_sieve_entry(fresh_masks, folds):
     assert folds == [(f, bound) for f in sum_families(t)]
 
 
-def test_sum_value_mask_rejects_a_bound_below_one():
+def test_sum_value_mask_rejects_a_bound_below_one(fresh_masks):
     p3 = parse_polygonal_sum("p3")
     for bound in (0, -1, -5):
         with pytest.raises(ValueError, match="bound must be >= 1"):
@@ -354,6 +354,14 @@ def test_sum_value_mask_rejects_a_bound_below_one():
         with pytest.raises(ValueError, match="bound must be >= 1"):
             certify_universal(p3, bound)
     assert sum_value_mask(p3, 1) == 0b11
+    # A tuple stored as full answers no question below bound 1 either.
+    gauss = parse_polygonal_sum("p3 + p3 + p3")
+    assert certify_universal(gauss, 100).universal
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            certify_universal(gauss, bound)
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            equivalent_upto(gauss, gauss, bound)
 
 
 def test_equivalent_upto_rejects_a_bound_below_one():
@@ -439,7 +447,7 @@ def test_a_mask_truncated_from_a_wider_bound_matches_a_fresh_fold(
         masks = {}
         patch.setattr(polygonal, "_masks", masks)
         for bound in (high, low) if wide_first else (low, high):
-            assert _prefix_mask(families, bound) == top_aligned(bitmask_sumset(s, bound), bound)
+            assert sum_value_mask(s, bound) == top_aligned(bitmask_sumset(s, bound), bound)
         assert {b for b, _ in masks.values()} == {high}
         assert masks[families][0] == high
         assert all(m is None or m.bit_count() <= b for b, m in masks.values())
@@ -447,15 +455,15 @@ def test_a_mask_truncated_from_a_wider_bound_matches_a_fresh_fold(
 
 def test_a_truncated_universal_prefix_folds_nothing(fresh_masks, folds):
     wide, bound = 2027, 1031
-    gauss = sum_families(parse_polygonal_sum("p3 + p3 + p3"))
-    assert _prefix_mask(gauss, wide) == (1 << (wide + 1)) - 1
-    assert fresh_masks[gauss] == (wide, None)
+    gauss = parse_polygonal_sum("p3 + p3 + p3")
+    assert sum_value_mask(gauss, wide) == (1 << (wide + 1)) - 1
+    assert fresh_masks[sum_families(gauss)] == (wide, None)
     folds.clear()
-    assert _prefix_mask(gauss, bound) == (1 << (bound + 1)) - 1
+    assert sum_value_mask(gauss, bound) == (1 << (bound + 1)) - 1
     extended = parse_polygonal_sum("p3 + p3 + p3 + p4")
     assert sum_value_mask(extended, bound) == (1 << (bound + 1)) - 1
     assert folds == []
-    assert fresh_masks[gauss] == (wide, None)
+    assert fresh_masks[sum_families(gauss)] == (wide, None)
     assert fresh_masks[sum_families(extended)] == (bound, None)
 
 
@@ -504,18 +512,15 @@ def test_folds_that_stop_early_match_a_fold_without_exit(prefix, last, bound):
     assert sum_value_mask(s, bound) == top_aligned(bitmask_sumset(s, bound), bound)
 
 
-def test_the_last_fold_stops_once_no_gap_is_left_above_the_next_value(
-    monkeypatch, values_read
-):
+def test_the_last_fold_stops_once_no_gap_is_left_above_the_next_value(values_read):
     # p4 + p4 + p4 misses the numbers 4^a(8b+7); a few small squares fill
     # every one of them, so the last fold reads only a handful of squares.
     families = sum_families(parse_polygonal_sum("p4 + p4 + p4 + p4"))
     bound = 100_000
-    prefix = _prefix_mask(families[:-1], bound)
-    assert prefix != (1 << (bound + 1)) - 1
-    monkeypatch.setattr(polygonal, "_masks", {families[:-1]: (bound, prefix)})
+    prefix = _fold(families[:-1], bound, {})
+    assert prefix is not None
     values_read.clear()
-    assert _prefix_mask(families, bound) == (1 << (bound + 1)) - 1
+    assert _fold(families, bound, {families[:-1]: (bound, prefix)}) is None
     squares = term_from_polygonal(1, 4).values_upto(bound)
     assert 0 < len(values_read) < len(squares) / 4
 
@@ -591,7 +596,6 @@ def test_certify_reads_a_tuple_stored_as_full_without_building_a_mask(fresh_mask
     gauss = parse_polygonal_sum("p3 + p3 + p3")
     assert certify_universal(gauss, bound).universal
     assert fresh_masks[sum_families(gauss)] == (bound, None)
-    polygonal._all_ones.cache_clear()
     tracemalloc.start()
     try:
         verdict = certify_universal(gauss, bound - 7)
@@ -605,6 +609,23 @@ def test_certify_reads_a_tuple_stored_as_full_without_building_a_mask(fresh_mask
     assert certify_universal(gapped, 67).universal
     assert fresh_masks[sum_families(gapped)] == (67, None)
     assert certify_universal(gapped, 3000).head(1) == (68,)
+
+
+def test_two_tuples_stored_as_full_are_equal_without_building_a_mask(fresh_masks):
+    bound = 200_000
+    gauss = parse_polygonal_sum("p3 + p3 + p3")
+    extended = parse_polygonal_sum("p3 + p3 + p3 + p4")
+    assert equivalent_upto(gauss, extended, bound) == (True, None)
+    tracemalloc.start()
+    try:
+        answer = equivalent_upto(extended, gauss, bound - 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert answer == (True, None)
+    assert peak < bound // 80
+    # One full tuple against a gapped one still differs at its first gap.
+    assert equivalent_upto(gauss, parse_polygonal_sum("p3 + p4 + 6*p8"), 3000) == (False, 68)
 
 
 # Sums whose tuples share prefixes, or are prefixes of one another, and
@@ -650,6 +671,17 @@ def test_a_sieve_table_answers_as_the_library_calls_do(questions):
             else:
                 assert table.equal(*sums, bound) == equivalent_upto(*sums, bound)[1]
     assert table.store == {} and table.questions == {}
+
+
+def test_a_sieve_table_rejects_a_bound_below_one():
+    table = SieveTable()
+    p3 = parse_polygonal_sum("p3")
+    for bound in (0, -1, -5):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            table.ask_universal(p3, bound)
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            table.ask_equal(p3, p3, bound)
+    assert not table.questions
 
 
 def test_a_question_not_asked_raises_and_folds_nothing(folds):
