@@ -35,12 +35,12 @@ lhs sum up to the bound and, only once it passes, each rhs sum up to the
 largest m with k*m + shift <= bound.  Nothing is checked at load time.
 
 Each kind has one check, which returns (ok, detail); check_entry builds
-the entry's Row from it.  A check reads its sieve answers from a
-polygonal.SieveTable, and beside each check that reads one is the function
-that asks every question the check may read; _CHECKS pairs the two.
-run_catalog asks one table for all the selected entries, so each distinct
-question is sieved once.  A Row is an immutable namedtuple; CatalogEntry,
-Catalog and Report are plain records.
+the entry's Row from it.  A check reads its sieve answers from the
+polygonal.SieveTable that check_entry is given, and beside each check that
+reads one is the function that asks every question the check may read;
+_CHECKS pairs the two.  run_catalog asks one table for all the selected
+entries, so each distinct question is sieved once.  A Row is an immutable
+namedtuple; CatalogEntry, Catalog and Report are plain records.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def _parse_header(line: str, where: str) -> tuple[str, str, str]:
     if not rest.startswith("kind:"):
         raise CatalogError(f"{where}: missing kind in {line!r}")
     rest = rest[5:].strip()
-    parts = rest.split("ref:", 1)
+    parts = re.split(r"(?:^|\s)ref:", rest, maxsplit=1)
     kind = parts[0].strip()
     if kind not in FIELDS:
         raise CatalogError(f"{where}: unknown kind {kind!r}")
@@ -469,27 +469,14 @@ _CHECKS = {
 }
 
 
-def _answered_sieve(entries: list[CatalogEntry], bound: int) -> SieveTable:
-    """A SieveTable asked every question of the entries' checks, answered."""
-    sieve = SieveTable()
-    for e in entries:
-        ask, _check = _CHECKS[e.kind]
-        if ask is not None:
-            ask(e, bound, sieve)
-    sieve.answer()
-    return sieve
-
-
 def check_entry(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable | None = None
+    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> Row:
     """Check one entry, reading its sieve answers from sieve, which must have
-    been asked them; with no sieve, from a table of its own questions."""
+    been asked them and answered, as run_catalog does."""
     if entry.kind not in _CHECKS:
         raise CatalogError(f"unknown kind {entry.kind!r}")
     _ask, check = _CHECKS[entry.kind]
-    if sieve is None:
-        sieve = _answered_sieve([entry], bound)
     ok, detail = check(entry, order, bound, catalog, sieve)
     return Row(entry.key, entry.kind, "pass" if ok else "fail", detail)
 
@@ -557,5 +544,9 @@ def run_catalog(
     if not selected:
         raise CatalogError("no catalog entries selected")
     selected = sorted(selected, key=lambda e: e.key)
-    sieve = _answered_sieve(selected, bound)
+    sieve = SieveTable()
+    for e in selected:
+        if (ask := _CHECKS[e.kind][0]) is not None:
+            ask(e, bound, sieve)
+    sieve.answer()
     return Report(order, bound, [check_entry(e, order, bound, catalog, sieve) for e in selected])

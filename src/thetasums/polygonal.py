@@ -25,19 +25,20 @@ a mask at bound b is the same families' mask at any wider bound w shifted
 right by w - b: a store keeps only the widest mask folded for each family
 tuple, and a request below that bound is answered by that shift, not by a
 fold.  A universal tuple, whose mask is full at that bound, is kept as its
-bound alone, so a store holds bound/8 bytes for each non-full entry only.
+bound alone, so a store holds bound/8 bytes for each non-full entry only;
+from _fold to every reader of sum_value_mask a full mask is None, so a full
+tuple is universal, and two full tuples equal, with no all-ones int built.
 
 There are two stores.  Library calls (sum_value_mask, certify_universal,
 equivalent_upto) share _masks, kept for the life of the process and cut
 back to _MAX_MASKS entries after each fold.  A SieveTable, which the
 catalog runs use, is told every question of a run before it folds
 anything: it folds each family tuple once, at the widest bound any
-question needs, into a store of its own, and frees each mask after its
-last use.  A full tuple is universal, and two full tuples are equal, with
-no all-ones int built.  Verdicts are not cached: certify_universal keeps
-the gaps of the mask as a top-aligned mask, counted by bit_count, and
-lists them in one linear scan of its binary digits only when the full list
-is read.
+question needs, into a store of its own, reads each answer's masks from
+it through sum_value_mask, and frees each mask after its last use.
+Verdicts are not cached: certify_universal keeps the gaps of the mask as a
+top-aligned mask, counted by bit_count, and lists them in one linear scan
+of its binary digits only when the full list is read.
 
 A value family is keyed by its theta atom (family_key): QuadTerm(c, A, B)
 has the exponents of the atom (i, j) = (c(A+B)/2, c(A-B)/2), 0 <= i <= j,
@@ -156,6 +157,9 @@ def term_from_polygonal(coeff: int, m: int) -> QuadTerm:
 # past _MAX_MASKS after each fold.  A tuple whose mask is full at that bound,
 # a universal sum, keeps (bound, None), so only the non-full entries hold
 # bound/8 bytes each.
+# It lives beside the SieveTable stores because library calls share prefixes
+# too: the 200 seeded sums of the candidate-search benchmark have 800 prefix
+# tuples at bound 30000, and 233 of them are already stored when asked.
 # A SieveTable folds into a store of its own and leaves this one alone.
 _masks: dict[tuple[tuple[int, int], ...], tuple[int, int | None]] = {}
 _MAX_MASKS = 4096
@@ -209,29 +213,39 @@ def _fold(families: tuple[tuple[int, int], ...], bound: int, store: dict) -> int
     return mask
 
 
-def sum_value_mask(s: PolygonalSum, bound: int, store: dict | None = None) -> int:
-    """Top-aligned mask of the representable integers in [0, bound].
+def sum_value_mask(s: PolygonalSum, bound: int, store: dict | None = None) -> int | None:
+    """Top-aligned mask of the values of s in [0, bound], None when every
+    integer there is one.
 
-    Bit i is set when bound - i is a value of s.  Spellings with the same
-    family keys (permuted, rescaled, or p6 for p3) share one mask, and sums
-    sharing a prefix of sum_families share its folds.  The store read and
-    filled is the library store _masks, cut back to its _MAX_MASKS newest
-    keys afterwards, unless a SieveTable passes its own, as it does to
-    certify_universal and equivalent_upto.
+    Bit i is set when bound - i is a value of s.  A full mask is always
+    None, so two masks at one bound are equal exactly when they compare
+    equal.  Spellings with the same family keys (permuted, rescaled, or p6
+    for p3) share one mask, and sums sharing a prefix of sum_families share
+    its folds.  The store read and filled is the library store _masks, cut
+    back to its _MAX_MASKS newest keys afterwards, unless a SieveTable
+    passes its own.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     mask = _fold(sum_families(s), bound, _masks if store is None else store)
     while len(_masks) > _MAX_MASKS:
         del _masks[next(iter(_masks))]
-    return (1 << (bound + 1)) - 1 if mask is None else mask
+    # A mask read off a wider bound can be full once truncated to this one.
+    return None if mask is not None and mask.bit_count() > bound else mask
 
 
-def _stored_full(s: PolygonalSum, bound: int, store: dict | None) -> bool:
-    """Whether the store holds the tuple of s as full at this bound or a
-    wider one, so s is universal up to the bound, which must be >= 1."""
-    stored = (_masks if store is None else store).get(sum_families(s))
-    return stored is not None and stored[1] is None and 1 <= bound <= stored[0]
+def _gaps(mask: int | None, bound: int) -> int:
+    """The top-aligned mask of the integers in [0, bound] that mask lacks."""
+    return 0 if mask is None else ((1 << (bound + 1)) - 1) ^ mask
+
+
+def _least_difference(m1: int | None, m2: int | None, bound: int) -> int | None:
+    """The least value in exactly one of two masks at bound, None when they
+    are equal; a full mask is widened to all ones only against a gapped one."""
+    if m1 == m2:
+        return None
+    diff = m1 ^ m2 if None not in (m1, m2) else _gaps(m1, bound) ^ _gaps(m2, bound)
+    return bound + 1 - diff.bit_length()
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -250,36 +264,19 @@ def _mask_bits(mask: int, bound: int) -> list[int]:
     return list(compress(range(start, start + len(flags)), flags))
 
 
-def certify_universal(
-    s: PolygonalSum, bound: int, store: dict | None = None
-) -> UniversalityVerdict:
-    """Sieve every integer in [0, bound]; the verdict keeps the gap mask.
-
-    A sum whose tuple the store holds as full at this bound or a wider one
-    is universal, with no all-ones int built and no XOR.
-    """
-    if _stored_full(s, bound, store):
-        return UniversalityVerdict(bound)
-    mask = sum_value_mask(s, bound, store)  # rejects a bound below 1 before any shift
-    return UniversalityVerdict(bound, ((1 << (bound + 1)) - 1) ^ mask)
+def certify_universal(s: PolygonalSum, bound: int) -> UniversalityVerdict:
+    """Sieve every integer in [0, bound]; the verdict keeps the gap mask."""
+    return UniversalityVerdict(bound, _gaps(sum_value_mask(s, bound), bound))
 
 
-def equivalent_upto(
-    s1: PolygonalSum, s2: PolygonalSum, bound: int, store: dict | None = None
-) -> tuple[bool, int | None]:
+def equivalent_upto(s1: PolygonalSum, s2: PolygonalSum, bound: int) -> tuple[bool, int | None]:
     """Set equality of the two value sets within [0, bound].
 
     Returns (True, None) or (False, w) with w the least witness present in
-    exactly one of the sets: the highest set bit of the masks' difference.
-    Two sums whose tuples the store holds as full are equal, with no
-    all-ones int built.
+    exactly one of the sets.
     """
-    if _stored_full(s1, bound, store) and _stored_full(s2, bound, store):
-        return True, None
-    diff = sum_value_mask(s1, bound, store) ^ sum_value_mask(s2, bound, store)
-    if diff == 0:
-        return True, None
-    return False, bound - (diff.bit_length() - 1)
+    witness = _least_difference(sum_value_mask(s1, bound), sum_value_mask(s2, bound), bound)
+    return witness is None, witness
 
 
 class SieveTable:
@@ -296,13 +293,13 @@ class SieveTable:
     in sorted order, which is depth first.  Each node is folded once, into
     this table's own store, at the widest bound asked of it or of any tuple
     below it, so its prefix is already stored and every lower bound is read
-    by truncation.  A question is answered by certify_universal or
-    equivalent_upto on that store right after the fold of its last tuple,
-    so a full tuple is universal, and two full tuples equal, with no
-    all-ones int built.  A node's entry is dropped once its extensions are
-    folded and its questions answered, so only the current path and the
-    tuples that wait for the other side of an equality question hold masks;
-    once every question is answered, the store and the questions are empty.
+    by truncation.  Right after the fold of its last tuple, a question reads
+    the mask of each of its sums from that store through sum_value_mask,
+    None when full, and keeps only its compact answer.  A node's entry is
+    dropped once its extensions are folded and its questions answered, so
+    only the current path and the tuples that wait for the other side of an
+    equality question hold masks; once every question is answered, the
+    store and the questions are empty.
     The library store _masks is neither read nor written.
     """
 
@@ -363,12 +360,12 @@ class SieveTable:
                 release(node[:-1])
             for key in due.pop(node, ()):
                 *tuples, bound = key
-                sums = self.questions.pop(key)
-                if len(sums) == 1:
-                    verdict = certify_universal(sums[0], bound, store)
+                masks = [sum_value_mask(s, bound, store) for s in self.questions.pop(key)]
+                if len(masks) == 1:
+                    verdict = UniversalityVerdict(bound, _gaps(masks[0], bound))
                     self.answers[key] = verdict.head(self.GAP_HEAD)
                 else:
-                    self.answers[key] = equivalent_upto(*sums, bound, store)[1]
+                    self.answers[key] = _least_difference(*masks, bound)
                 for families in set(tuples):
                     release(families)
 

@@ -5,7 +5,8 @@ convolution, direct nested loops over integer variables, theta products)
 so the fast paths in the package are checked against an independent one.
 The sieve, representation_series and brute_counts/brute_missing are the
 three legs of the sieve/series/loops oracle; top_aligned reads a mask of
-bitmask_sumset in the sieve's bit order by string reversal;
+bitmask_sumset in the sieve's bit order by string reversal, and
+expected_value_mask also spells a full one None;
 stepped_atom_exponents walks each branch of a theta atom one n at a time;
 char_tokenize is a character-by-character lexer that gives each token's
 span as it scans, checked against dsl.tokenize's plain strings with the
@@ -164,6 +165,13 @@ def bitmask_sumset(s: PolygonalSum, bound: int) -> int:
 def top_aligned(mask: int, bound: int) -> int:
     """The same set with bit i standing for bound - i: digits reversed."""
     return int(format(mask, f"0{bound + 1}b")[::-1], 2)
+
+
+def expected_value_mask(s: PolygonalSum, bound: int) -> int | None:
+    """bitmask_sumset read top-aligned, None when every integer in [0, bound]
+    is a value, the one spelling of a full mask that sum_value_mask uses."""
+    mask = top_aligned(bitmask_sumset(s, bound), bound)
+    return None if mask == (1 << (bound + 1)) - 1 else mask
 
 
 def char_tokenize(text: str) -> list[tuple[str, SourceSpan]]:

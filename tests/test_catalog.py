@@ -17,7 +17,7 @@ from thetasums.catalog import (
     parse_catalog_text,
     run_catalog,
 )
-from thetasums.polygonal import QuadTerm, sum_families
+from thetasums.polygonal import QuadTerm, SieveTable, sum_families
 from thetasums.transfer import (
     derive_decomposition,
     derive_sums,
@@ -131,6 +131,8 @@ def test_a_modulus_not_in_ascii_digits_fails_at_its_line(modulus):
         ("[x kind: identity", "<catalog>:1: unterminated key in '[x kind: identity'"),
         ("# note\n[x] identity", "<catalog>:2: missing kind in '[x] identity'"),
         ("[x] kind: mystery", "<catalog>:1: unknown kind 'mystery'"),
+        # 'ref:' glued to the kind is part of the kind, not a ref.
+        ('[x] kind: base-factref: "x"', """<catalog>:1: unknown kind 'base-factref: "x"'"""),
         ("\nlhs: phi(q)", "<catalog>:2: field outside any entry: 'lhs: phi(q)'"),
         (
             "[x] kind: identity\nlhs phi(q)",
@@ -152,7 +154,8 @@ def test_a_modulus_not_in_ascii_digits_fails_at_its_line(modulus):
         )
     ],
     ids=[
-        "unterminated-key", "missing-kind", "unknown-kind", "outside-entry", "no-colon",
+        "unterminated-key", "missing-kind", "unknown-kind", "ref-glued-to-kind",
+        "outside-entry", "no-colon",
         "empty-key", "blank-key", "key-with-space", "key-with-em-space",
         "ref-trailing-text", "ref-unquoted", "ref-unclosed", "ref-unopened",
         "ref-inner-quote", "ref-two-strings",
@@ -274,13 +277,20 @@ def test_every_via_resolves(catalog):
             assert source_key in catalog.by_key, entry.key
 
 
+def target_row(catalog, fields):
+    """The row of a target-sum [t] with these fields, added to the catalog
+    and checked at bound 500."""
+    extra = parse_catalog_text(f'[t] kind: target-sum ref: "x"\n{fields}')
+    return run_catalog(Catalog(catalog.entries + extra), 50, 500, keys=["t"]).rows[0]
+
+
+# pf-q15-base is an equivalence whose chain holds p5 + 4*p5 + p8 + p8.
+PF_Q15_SUM = "sum: p5 + 4*p5 + p8 + p8\n"
+
+
 def test_a_residue_term_of_an_equivalence_fails_its_row(catalog):
-    # pf-q15-base is an equivalence whose chain holds p5 + 4*p5 + p8 + p8.
     def row(via):
-        extra = parse_catalog_text(
-            f'[t] kind: target-sum ref: "x"\nsum: p5 + 4*p5 + p8 + p8\nvia: {via}'
-        )
-        return run_catalog(Catalog(catalog.entries + extra), 50, 500, keys=["t"]).rows[0]
+        return target_row(catalog, f"{PF_Q15_SUM}via: {via}")
 
     assert row("pf-q15-base").detail == "certified universal up to 500; via pf-q15-base"
     failed = row("pf-q15-base r7")
@@ -288,6 +298,33 @@ def test_a_residue_term_of_an_equivalence_fails_its_row(catalog):
         "fail",
         "via 'pf-q15-base r7': a residue term needs a decomposition",
     )
+
+
+# Each sum is universal at bound 500, so the row reaches its via or anchor.
+@pytest.mark.parametrize(
+    "fields, detail",
+    [
+        (PF_Q15_SUM + "via: nowhere", "via references unknown key 'nowhere'"),
+        (PF_Q15_SUM + "via: Q1", "via 'Q1' needs a residue term like 'r2'"),
+        (PF_Q15_SUM + "via: Q1 r9", "via 'Q1 r9': no residue term 9"),
+        # eq-2.8.2 is the chain p3 ~ p6.
+        (PF_Q15_SUM + "via: eq-2.8.2", "via 'eq-2.8.2': chain does not contain this sum"),
+        (
+            PF_Q15_SUM + "via: base-sun-1-1-2-4",
+            "via 'base-sun-1-1-2-4' must name a decomposition or equivalence",
+        ),
+        (PF_Q15_SUM + "via: eq-2.12", "via 'eq-2.12' must name a decomposition or equivalence"),
+        # thm3.1-01 derives this sum via Q1 r1.
+        ("sum: 2*p5+4*p5+p8+p8\nanchor: none", "unexpected theorem anchor thm3.1-01"),
+    ],
+    ids=[
+        "unknown-key", "no-residue", "residue-out-of-range", "not-in-chain", "via-base-fact",
+        "via-identity", "unexpected-anchor",
+    ],
+)
+def test_a_via_or_anchor_that_does_not_hold_fails_its_row(catalog, fields, detail):
+    row = target_row(catalog, fields)
+    assert (row.status, row.detail) == ("fail", detail)
 
 
 def test_duplicate_derivations_are_both_kept(catalog):
@@ -438,7 +475,7 @@ def test_a_run_rejects_a_bound_below_one(catalog):
         with pytest.raises(ValueError, match="bound must be >= 1"):
             run_catalog(catalog, order=50, bound=bound, keys=["Q1", "eq-2.12"])
         with pytest.raises(ValueError, match="bound must be >= 1"):
-            check_entry(catalog.by_key["Q1"], 50, bound, catalog)
+            run_catalog(catalog, order=50, bound=bound, keys=["Q1"])
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +502,7 @@ def test_a_planned_run_gives_the_rows_of_one_entry_at_a_time(
     order = 120
     report = run_catalog(broken_catalog, order=order, bound=bound, kinds=kinds, keys=keys)
     assert report.rows == [
-        check_entry(broken_catalog.by_key[k], order, bound, broken_catalog) for k in selected
+        run_catalog(broken_catalog, order=order, bound=bound, keys=[k]).rows[0] for k in selected
     ]
 
 
@@ -715,4 +752,4 @@ def test_an_entry_of_a_kind_outside_fields_has_no_check():
     entry.kind = "mystery"
     assert entry.kind not in FIELDS
     with pytest.raises(CatalogError, match="unknown kind 'mystery'"):
-        check_entry(entry, 100, 100, catalog)
+        check_entry(entry, 100, 100, catalog, SieveTable())

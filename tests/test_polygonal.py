@@ -29,9 +29,9 @@ from oracles import (
     bitmask_sumset,
     brute_counts,
     brute_missing,
+    expected_value_mask,
     reduce_term_by_divisors,
     representation_series,
-    top_aligned,
 )
 
 
@@ -353,7 +353,8 @@ def test_sum_value_mask_rejects_a_bound_below_one(fresh_masks):
             sum_value_mask(p3, bound)
         with pytest.raises(ValueError, match="bound must be >= 1"):
             certify_universal(p3, bound)
-    assert sum_value_mask(p3, 1) == 0b11
+    assert sum_value_mask(p3, 1) is None
+    assert sum_value_mask(p3, 2) == 0b110
     # A tuple stored as full answers no question below bound 1 either.
     gauss = parse_polygonal_sum("p3 + p3 + p3")
     assert certify_universal(gauss, 100).universal
@@ -447,7 +448,7 @@ def test_a_mask_truncated_from_a_wider_bound_matches_a_fresh_fold(
         masks = {}
         patch.setattr(polygonal, "_masks", masks)
         for bound in (high, low) if wide_first else (low, high):
-            assert sum_value_mask(s, bound) == top_aligned(bitmask_sumset(s, bound), bound)
+            assert sum_value_mask(s, bound) == expected_value_mask(s, bound)
         assert {b for b, _ in masks.values()} == {high}
         assert masks[families][0] == high
         assert all(m is None or m.bit_count() <= b for b, m in masks.values())
@@ -456,12 +457,12 @@ def test_a_mask_truncated_from_a_wider_bound_matches_a_fresh_fold(
 def test_a_truncated_universal_prefix_folds_nothing(fresh_masks, folds):
     wide, bound = 2027, 1031
     gauss = parse_polygonal_sum("p3 + p3 + p3")
-    assert sum_value_mask(gauss, wide) == (1 << (wide + 1)) - 1
+    assert sum_value_mask(gauss, wide) is None
     assert fresh_masks[sum_families(gauss)] == (wide, None)
     folds.clear()
-    assert sum_value_mask(gauss, bound) == (1 << (bound + 1)) - 1
+    assert sum_value_mask(gauss, bound) is None
     extended = parse_polygonal_sum("p3 + p3 + p3 + p4")
-    assert sum_value_mask(extended, bound) == (1 << (bound + 1)) - 1
+    assert sum_value_mask(extended, bound) is None
     assert folds == []
     assert fresh_masks[sum_families(gauss)] == (wide, None)
     assert fresh_masks[sum_families(extended)] == (bound, None)
@@ -478,7 +479,7 @@ def test_a_prefix_full_only_once_truncated_stops_at_the_first_check(
     assert certify_universal(prefix, wide).head(1) == (68,)
     stored = fresh_masks[sum_families(prefix)]
     values_read.clear()
-    assert sum_value_mask(s, bound) == (1 << (bound + 1)) - 1
+    assert sum_value_mask(s, bound) is None
     assert values_read == [0, 7]
     assert fresh_masks[sum_families(s)] == (bound, None)
     assert fresh_masks[sum_families(prefix)] is stored
@@ -509,7 +510,7 @@ PREFIXES = [
 @example(parse_polygonal_sum("p8 + p8 + p8").terms, [term_from_polygonal(1, 8)], 5)
 def test_folds_that_stop_early_match_a_fold_without_exit(prefix, last, bound):
     s = PolygonalSum(tuple(prefix) + tuple(last))
-    assert sum_value_mask(s, bound) == top_aligned(bitmask_sumset(s, bound), bound)
+    assert sum_value_mask(s, bound) == expected_value_mask(s, bound)
 
 
 def test_the_last_fold_stops_once_no_gap_is_left_above_the_next_value(values_read):
@@ -528,11 +529,11 @@ def test_the_last_fold_stops_once_no_gap_is_left_above_the_next_value(values_rea
 def test_a_universal_prefix_is_kept_as_its_bound(fresh_masks, folds):
     bound = 1009
     gauss = parse_polygonal_sum("p3 + p3 + p3")
-    assert sum_value_mask(gauss, bound) == (1 << (bound + 1)) - 1
+    assert sum_value_mask(gauss, bound) is None
     assert fresh_masks[sum_families(gauss)] == (bound, None)
     folds.clear()
     extended = parse_polygonal_sum("p3 + p3 + p3 + p4")
-    assert sum_value_mask(extended, bound) == (1 << (bound + 1)) - 1
+    assert sum_value_mask(extended, bound) is None
     assert folds == []
     assert fresh_masks[sum_families(extended)] == (bound, None)
 
@@ -576,7 +577,7 @@ def test_sums_asked_at_mixed_bounds_match_a_fresh_fold(requests):
         masks = {}
         patch.setattr(polygonal, "_masks", masks)
         for s, bound in requests:
-            assert sum_value_mask(s, bound) == top_aligned(bitmask_sumset(s, bound), bound)
+            assert sum_value_mask(s, bound) == expected_value_mask(s, bound)
         assert all(m is None or m.bit_count() <= b for b, m in masks.values())
 
 
@@ -727,7 +728,7 @@ def test_the_mask_store_drops_its_oldest_entry_past_the_cap(fresh_masks, monkeyp
     bound = 700
     for _ in range(2):  # the second pass refolds what the cap dropped
         for s in sums:
-            assert sum_value_mask(s, bound) == top_aligned(bitmask_sumset(s, bound), bound)
+            assert sum_value_mask(s, bound) == expected_value_mask(s, bound)
             assert len(fresh_masks) <= 4
     # The last sum, all coefficients even, has no universal prefix: its four
     # prefixes are the newest entries, and they pushed out all the others.
