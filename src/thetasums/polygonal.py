@@ -25,8 +25,8 @@ a mask at bound b is the same families' mask at any wider bound w shifted
 right by w - b: a store keeps only the widest mask folded for each family
 tuple, and a request below that bound is answered by that shift, not by a
 fold.  A universal tuple, whose mask is full at that bound, is kept as its
-bound alone, so a store holds bound/8 bytes for each non-full entry only;
-from _fold to every reader of sum_value_mask a full mask is None, so a full
+bound alone, so a store holds bound/8 bytes for each non-full entry only.
+_fold returns a full mask as None on every path, read or folded, so a full
 tuple is universal, and two full tuples equal, with no all-ones int built.
 
 There are two stores.  Library calls (sum_value_mask, certify_universal,
@@ -169,23 +169,26 @@ def _fold(families: tuple[tuple[int, int], ...], bound: int, store: dict) -> int
     """Top-aligned mask of the families' sumset within [0, bound], None when full.
 
     A tuple stored at this bound returns the stored mask, and one stored at a
-    wider bound returns that mask shifted right to [0, bound]: no value is
-    negative.  A tuple stored as full returns None.  A single family sets
+    wider bound returns that mask shifted right to [0, bound], as no value is
+    negative, and None when the shifted mask is full.  A tuple stored as full
+    returns None.  A read leaves the store as it is.  A single family sets
     its values' bits in a bytearray of bound/8 bytes, as shifting {0} right
     by each value would build a (bound + 1)-bit int per value.  Otherwise
     the last family's values are folded onto the prefix mask by right
-    shifts.  Every family reaches 0, so the extension of a prefix stored as
+    shifts.  Every family reaches 0, so the extension of a prefix read as
     full is full, with nothing folded.  The values come in increasing order
     and acc >> v sets no bit for a value below v, so once the low
     bound - u + 1 bits are all set, u the next value, the rest of the fold
-    changes nothing; that is tested after 2, 4, 8, ... values, and a prefix
-    that is full only once truncated to this bound stops at the first test.
-    The result replaces the tuple's entry, as None when it is full.
+    changes nothing; that is tested after 2, 4, 8, ... values.  The result
+    of a fold replaces the tuple's entry, as None when it is full.
     """
     stored = store.get(families)
     if stored is not None and stored[0] >= bound:
         widest, mask = stored
-        return mask if mask is None or widest == bound else mask >> (widest - bound)
+        if mask is None or widest == bound:
+            return mask
+        mask >>= widest - bound
+        return None if mask.bit_count() > bound else mask
     i, j = families[-1]
     term = QuadTerm(1, i + j, i - j)
     if len(families) == 1:
@@ -217,21 +220,20 @@ def sum_value_mask(s: PolygonalSum, bound: int, store: dict | None = None) -> in
     """Top-aligned mask of the values of s in [0, bound], None when every
     integer there is one.
 
-    Bit i is set when bound - i is a value of s.  A full mask is always
-    None, so two masks at one bound are equal exactly when they compare
-    equal.  Spellings with the same family keys (permuted, rescaled, or p6
-    for p3) share one mask, and sums sharing a prefix of sum_families share
-    its folds.  The store read and filled is the library store _masks, cut
-    back to its _MAX_MASKS newest keys afterwards, unless a SieveTable
-    passes its own.
+    Bit i is set when bound - i is a value of s.  This is what _fold
+    returns, None for every full mask, so two masks at one bound are equal
+    exactly when they compare equal.  Spellings with the same family keys
+    (permuted, rescaled, or p6 for p3) share one mask, and sums sharing a
+    prefix of sum_families share its folds.  The store read and filled is
+    the library store _masks, cut back to its _MAX_MASKS newest keys
+    afterwards, unless a SieveTable passes its own.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     mask = _fold(sum_families(s), bound, _masks if store is None else store)
     while len(_masks) > _MAX_MASKS:
         del _masks[next(iter(_masks))]
-    # A mask read off a wider bound can be full once truncated to this one.
-    return None if mask is not None and mask.bit_count() > bound else mask
+    return mask
 
 
 def _gaps(mask: int | None, bound: int) -> int:

@@ -6,7 +6,9 @@ binary operations truncate to the smaller order so stale high coefficients
 never propagate.  Coefficients are Python ints, so arithmetic is exact at
 any magnitude (overflow cannot occur silently).  Coefficients and scale
 factors must be integers (operator.index): a float or a string is a
-TypeError, never rounded or parsed.
+TypeError, never rounded or parsed.  Each operation has one name (add,
+scale, mul, shift, equal_upto) and no operator spelling; a Series compares
+with == and is indexed by exponent.
 """
 
 from __future__ import annotations
@@ -42,13 +44,9 @@ class Series:
 
     @classmethod
     def zero(cls, order: int) -> Series:
-        return cls._wrap([0] * _checked_order(order))
-
-    @classmethod
-    def one(cls, order: int) -> Series:
-        coeffs = [0] * _checked_order(order)
-        coeffs[0] = 1
-        return cls._wrap(coeffs)
+        if order < 1:
+            raise ValueError("series order must be positive")
+        return cls._wrap([0] * order)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -56,9 +54,6 @@ class Series:
 
     def __getitem__(self, e: int) -> int:
         return self._coeffs[e]
-
-    def __len__(self) -> int:
-        return self.order
 
     def nonzero(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs for the nonzero coefficients."""
@@ -120,23 +115,6 @@ class Series:
                 return False, (e, a[e], b[e])
         return True, None
 
-    def __add__(self, other):
-        if isinstance(other, Series):
-            return self.add(other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            return self.mul(other)
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
@@ -149,9 +127,3 @@ class Series:
         head = ", ".join(str(c) for c in self._coeffs[:8])
         tail = ", ..." if self.order > 8 else ""
         return f"Series([{head}{tail}], order={self.order})"
-
-
-def _checked_order(order: int) -> int:
-    if order < 1:
-        raise ValueError("series order must be positive")
-    return order

@@ -54,10 +54,6 @@ class ThetaAtom(namedtuple("ThetaAtom", "i j")):
             raise ThetaError("atom (0, 0) is not a theta function")
         return tuple.__new__(cls, (i, j))
 
-    @property
-    def is_canonical(self) -> bool:
-        return 1 <= self.i <= self.j
-
 
 class ProductTerm(namedtuple("ProductTerm", "multiplier shift atoms")):
     """multiplier * q^shift * product of atoms."""

@@ -11,13 +11,12 @@ from thetasums.catalog import (
     FIELDS,
     Catalog,
     CatalogError,
-    check_entry,
     default_catalog_dir,
     load_catalog,
     parse_catalog_text,
     run_catalog,
 )
-from thetasums.polygonal import QuadTerm, SieveTable, sum_families
+from thetasums.polygonal import QuadTerm, sum_families
 from thetasums.transfer import (
     derive_decomposition,
     derive_sums,
@@ -751,5 +750,5 @@ def test_an_entry_of_a_kind_outside_fields_has_no_check():
     entry = catalog.by_key["x"]
     entry.kind = "mystery"
     assert entry.kind not in FIELDS
-    with pytest.raises(CatalogError, match="unknown kind 'mystery'"):
-        check_entry(entry, 100, 100, catalog, SieveTable())
+    with pytest.raises(CatalogError, match=r"^\[x\]: unknown kind 'mystery'$"):
+        run_catalog(catalog, 100, 100)

@@ -14,6 +14,7 @@ from thetasums.polygonal import (
     QuadTerm,
     SieveTable,
     _fold,
+    _least_difference,
     _mask_bits,
     _shape,
     certify_universal,
@@ -468,11 +469,23 @@ def test_a_truncated_universal_prefix_folds_nothing(fresh_masks, folds):
     assert fresh_masks[sum_families(extended)] == (bound, None)
 
 
-def test_a_prefix_full_only_once_truncated_stops_at_the_first_check(
-    fresh_masks, values_read
-):
-    # p3 + p4 + 6*p8 first misses 68, so below 68 its wide mask truncates
-    # to a full one, and the fold onto it stops after two values of 7*p8.
+def test_a_mask_full_only_once_truncated_is_read_as_none(fresh_masks):
+    # p3 + p4 + 6*p8 first misses 68, so below 68 its mask stored at 3000
+    # truncates to a full one: the read returns None, the one spelling of a
+    # full mask, and leaves the stored entry as it is.
+    wide, bound = 3000, 67
+    prefix = parse_polygonal_sum("p3 + p4 + 6*p8")
+    assert certify_universal(prefix, wide).head(1) == (68,)
+    stored = fresh_masks[sum_families(prefix)]
+    read = _fold(sum_families(prefix), bound, fresh_masks)
+    assert read is None
+    assert fresh_masks[sum_families(prefix)] is stored
+    assert _least_difference(None, read, bound) is None
+
+
+def test_a_prefix_full_only_once_truncated_folds_nothing(fresh_masks, values_read):
+    # Below 68 the wide mask of p3 + p4 + 6*p8 reads as full, so its
+    # extension by 7*p8 is full with no value of 7*p8 read.
     wide, bound = 3000, 67
     prefix = parse_polygonal_sum("p3 + p4 + 6*p8")
     s = parse_polygonal_sum("p3 + p4 + 6*p8 + 7*p8")
@@ -480,7 +493,7 @@ def test_a_prefix_full_only_once_truncated_stops_at_the_first_check(
     stored = fresh_masks[sum_families(prefix)]
     values_read.clear()
     assert sum_value_mask(s, bound) is None
-    assert values_read == [0, 7]
+    assert values_read == []
     assert fresh_masks[sum_families(s)] == (bound, None)
     assert fresh_masks[sum_families(prefix)] is stored
 

@@ -129,7 +129,7 @@ def test_per_residue_identity_mechanism(catalog):
     for t in d.rhs:
         descaled = tuple(ThetaAtom(a.i // k, a.j // k) for a in t.atoms)
         inner = product_series(descaled, (order - t.shift + k - 1) // k)
-        for m in range(len(inner)):
+        for m in range(inner.order):
             e = k * m + t.shift
             if e >= order:
                 break
