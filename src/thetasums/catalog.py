@@ -11,7 +11,9 @@ with no whitespace; a ref, which may be left out, is one double-quoted
 string with no '"' inside it.  Each kind allows only these fields:
 
     identity       lhs:, rhs:            theta expressions; checked by series
-    decomposition  lhs:, modulus:, rhs:, base:, claims:  (claims '|'-separated)
+    decomposition  lhs:, modulus:, rhs:, proof:, base:, claims:
+                                         'proof: KEY q^N, KEY q, ...' lists the
+                                         lemma steps in order; claims '|'-separated
     equivalence    chain:, certify:      sums joined by '~', checked pairwise;
                                          'certify: members' certifies each sum
     base-fact      sum:                  externally known sum, re-certified
@@ -29,10 +31,11 @@ chain.  A target-sum with no 'via', or with an 'anchor' field, is anchored:
 some theorem list must contain its sum, or none may under 'anchor: none'.
 
 Every series check is transfer.verify_identity, and a decomposition is
-checked by transfer.verify_decomposition with the catalog's lemmas.  The
-row then certifies the sums read off the atoms (transfer.derive_sums): the
-lhs sum up to the bound and, only once it passes, each rhs sum up to the
-largest m with k*m + shift <= bound.  Nothing is checked at load time.
+checked by transfer.verify_decomposition, which replays its proof with the
+identities its keys name.  The row then certifies the sums read off the
+atoms (transfer.derive_sums): the lhs sum up to the bound and, only once it
+passes, each rhs sum up to the largest m with k*m + shift <= bound.
+Nothing is checked at load time.
 
 Each kind has one check, which returns (ok, detail); check_entry builds
 the entry's Row from it.  A check reads its sieve answers from the
@@ -56,6 +59,7 @@ from .polygonal import PolygonalSum, SieveTable, sum_families, sum_label
 from .theta import ThetaExpression
 from .transfer import (
     Decomposition,
+    VerifyOutcome,
     derive_sums,
     derived_bounds,
     verify_decomposition,
@@ -64,7 +68,7 @@ from .transfer import (
 
 FIELDS = {
     "identity": ("lhs", "rhs"),
-    "decomposition": ("lhs", "modulus", "rhs", "base", "claims"),
+    "decomposition": ("lhs", "modulus", "rhs", "proof", "base", "claims"),
     "equivalence": ("chain", "certify"),
     "base-fact": ("sum",),
     "target-sum": ("sum", "via", "anchor"),
@@ -82,6 +86,7 @@ class CatalogEntry:
     lhs: ThetaExpression | None = None
     rhs: ThetaExpression | None = None
     decomposition: Decomposition | None = None
+    proof: tuple[tuple[str, int], ...] = ()  # (KEY, N) of each 'KEY q^N' step
     base: PolygonalSum | None = None
     claims: tuple[PolygonalSum, ...] = ()
     chain: tuple[PolygonalSum, ...] = ()
@@ -110,15 +115,6 @@ class Catalog:
 
     def of_kind(self, kind: str) -> list[CatalogEntry]:
         return [e for e in self.entries if e.kind == kind]
-
-    @cached_property
-    def lemmas(self) -> tuple:
-        """(key, lhs, rhs) of the single-product identities, not yet checked."""
-        return tuple(
-            (e.key, e.lhs.terms[0], e.rhs)
-            for e in self.of_kind("identity")
-            if len(e.lhs.terms) == 1
-        )
 
     @cached_property
     def theorem_anchors(self) -> dict[tuple, str]:
@@ -226,6 +222,8 @@ def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> No
                 raise CatalogError("modulus has too many digits") from None
             rhs = dsl.parse_theta_expression(value("rhs"))
             entry.decomposition = Decomposition(lhs.terms[0], modulus, rhs.terms)
+            if "proof" in entry.fields:
+                entry.proof = _parse_proof(value("proof"))
             if "base" in entry.fields:
                 entry.base = dsl.parse_polygonal_sum(value("base"))
             if "claims" in entry.fields:
@@ -253,6 +251,17 @@ def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> No
         raise CatalogError(f"{where}:{lines[field_name]}: [{entry.key}]: {exc}") from None
 
 
+def _parse_proof(text: str) -> tuple[tuple[str, int], ...]:
+    """'KEY q^N, KEY q, ...', N >= 1, as its (KEY, N) steps, in order."""
+    steps = [re.fullmatch(r"\s*(\S+)\s+q(?:\^([1-9][0-9]*))?\s*", step) for step in text.split(",")]
+    if not all(steps):
+        raise CatalogError("proof must be steps 'KEY q^N' with N >= 1, separated by ','")
+    try:
+        return tuple((m[1], int(m[2] or 1)) for m in steps)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise CatalogError("proof step scaling has too many digits") from None
+
+
 def default_catalog_dir():
     return resources.files("thetasums") / "data"
 
@@ -261,17 +270,18 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     """Load a catalog from a file, a directory of *.cat files, or, with no
     path, the packaged data directory; a directory's files load by name.
 
-    Files are read as UTF-8; a file that cannot be read or decoded is a
-    CatalogError that names it.
+    A directory's *.proofs files then give its decompositions their proofs,
+    one 'KEY: STEP, ...' line each.  Files are read as UTF-8; a file that
+    cannot be read or decoded is a CatalogError that names it.
     """
     root = default_catalog_dir() if path is None else Path(path)
     files = [root]
     if root.is_dir():
-        files = [f for f in root.iterdir() if f.name.endswith(".cat")]
-        if not files:
+        files = [f for f in root.iterdir() if f.name.endswith((".cat", ".proofs"))]
+        if not any(f.name.endswith(".cat") for f in files):
             raise CatalogError(f"{root}: no *.cat files in this directory")
     files.sort(key=lambda f: f.name)
-    entries = []
+    entries, proofs = [], []
     for f in files:
         try:
             text = f.read_text(encoding="utf-8")
@@ -280,8 +290,29 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
             raise CatalogError(f"{f}: not UTF-8 text ({reason})") from None
         except OSError as exc:
             raise CatalogError(f"{f}: {exc.strerror or exc}") from None
-        entries += parse_catalog_text(text, f.name)
-    return Catalog(entries)
+        if f.name.endswith(".proofs"):
+            proofs.append((text, f.name))
+        else:
+            entries += parse_catalog_text(text, f.name)
+    catalog = Catalog(entries)
+    for text, where in proofs:
+        _attach_proofs(catalog, text, where)
+    return catalog
+
+
+def _attach_proofs(catalog: Catalog, text: str, where: str) -> None:
+    """Set the proof of the decomposition each 'KEY: STEP, ...' line names."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        key, _sep, steps = (part.strip() for part in line.partition(":"))
+        if not key or key.startswith("#"):
+            continue
+        entry = catalog.by_key.get(key)
+        if entry is None or entry.kind != "decomposition" or entry.proof or "proof" in entry.fields:
+            raise CatalogError(f"{where}:{lineno}: [{key}]: not a decomposition without a proof")
+        try:
+            entry.proof = _parse_proof(steps)
+        except CatalogError as exc:
+            raise CatalogError(f"{where}:{lineno}: [{key}]: {exc}") from None
 
 
 # -- per-entry checks ----------------------------------------------------------
@@ -328,11 +359,23 @@ def _ask_decomposition(entry: CatalogEntry, bound: int, sieve: SieveTable) -> No
         sieve.ask_equal(lhs_sum, entry.base, bound)
 
 
+def _verify_decomposition(entry: CatalogEntry, catalog: Catalog, order: int) -> VerifyOutcome:
+    """verify_decomposition of entry, its proof's keys read as single-product identities."""
+    steps = []
+    for step, (key, n) in enumerate(entry.proof, start=1):
+        lemma = catalog.by_key.get(key)
+        if lemma is None or lemma.kind != "identity" or len(lemma.lhs.terms) != 1:
+            detail = f"proof step {step}: {key!r} is not a single-product identity"
+            return VerifyOutcome(False, None, detail)
+        steps.append((lemma.lhs.terms[0], lemma.rhs, n))
+    return verify_decomposition(entry.decomposition, order, tuple(steps))
+
+
 def _check_decomposition(
     entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> tuple[bool, str]:
     d = entry.decomposition
-    outcome = verify_decomposition(d, order, catalog.lemmas)
+    outcome = _verify_decomposition(entry, catalog, order)
     if not outcome.ok:
         return False, outcome.detail
     lhs_sum, rhs_sums = derive_sums(d)
@@ -425,8 +468,8 @@ def _check_target(
 def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
     """Validate a 'via: KEY [rN]' annotation against the deriving entry.
 
-    A deriving decomposition is checked again at this order, derived from
-    its lemmas or else series-checked, so a theorem reproduction is
+    A deriving decomposition is checked again at this order, its proof
+    replayed or else series-checked, so a theorem reproduction is
     self-contained even when run key-by-key.
     """
     key = entry.via.split()[0]
@@ -436,7 +479,7 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
     if source.kind == "decomposition":
         if entry.residue is None:
             return f"via {entry.via!r} needs a residue term like 'r2'"
-        outcome = verify_decomposition(source.decomposition, order, catalog.lemmas)
+        outcome = _verify_decomposition(source, catalog, order)
         if not outcome.ok:
             return f"deriving identity {key} failed: {outcome.detail}"
         _lhs_sum, rhs_sums = derive_sums(source.decomposition)

@@ -15,7 +15,8 @@ The grammar is ASCII: a token is a run of digits, a run of letters, or
 one of + - * ^ ( ) , / ~ |.  Whitespace separates tokens and is otherwise
 ignored; any other character, ASCII or not, is an 'unexpected character'
 error.  '^' binds tighter than '*' which binds tighter than '+'.  Factor
-powers expand to repeated atoms.  Serialization is canonical (single
+powers expand to repeated atoms, at most MAX_PRODUCT_ATOMS (256) in a
+product term, counted across its powers.  Serialization is canonical (single
 spacing, named atom shapes, q^1 printed as q) and parse(serialize(v)) == v
 on valid values.
 
@@ -35,6 +36,7 @@ from .theta import ProductTerm, ThetaAtom, ThetaExpression
 
 # Named atom shapes: name(q^n) is the atom (n, ratio * n).
 _SHAPES = {"phi": 1, "X": 2, "psi": 3, "Y": 5}
+MAX_PRODUCT_ATOMS = 256  # each atom of a product term costs a series product
 
 
 class SourceSpan(namedtuple("SourceSpan", "line col_start col_end")):
@@ -166,6 +168,7 @@ class _Parser:
             self.expect("*", "'*' after q-power prefactor")
         atoms: list[ThetaAtom] = []
         while True:
+            at = self.pos
             a = self.atom()
             power = 1
             if self.accept("^"):
@@ -173,6 +176,8 @@ class _Parser:
                 power = self.expect_int("power")
                 if power < 1:
                     raise self.error("atom power must be >= 1", at)
+            if len(atoms) + power > MAX_PRODUCT_ATOMS:
+                raise self.error(f"product term has more than {MAX_PRODUCT_ATOMS} atoms", at)
             atoms.extend([a] * power)
             if not self.accept("*"):
                 break

@@ -11,15 +11,16 @@ the catalog certifies the lhs sum up to its bound and then each rhs sum up
 to the largest m with k*m + (r-1) <= bound (derived_bounds).
 
 verify_decomposition is the one decomposition check, and it checks the way
-the paper proves: given lemmas, derive_decomposition rewrites the lhs with
-them under q -> q^n until it equals the rhs term for term.  A lemma that
-holds to order N still does after q -> q^n, after multiplying by any atoms
-and after shifting, and canonicalize is exact, so a derivation whose lemmas
-pass verify_identity, the one series check, at order N proves the
-decomposition to order N; only the lemmas it uses are checked.  With no
-lemmas, no derivation, a failing lemma or an rhs shift that reaches the
-order, it series-checks the identity itself, which is also the reference
-the derivation is tested against and the source of every failure witness.
+the paper proves: it replays a recorded proof, each step rewriting a
+lemma's lhs to its rhs under q -> q^n in every term with an atom not
+divisible by the modulus, until the result equals the rhs term for term.
+A lemma that holds to order N still does after q -> q^n, after multiplying
+by atoms and after shifting, and canonicalize is exact, so a replay whose
+lemmas pass verify_identity, the one series check, at order N proves the
+decomposition to order N.  A step that is no rewrite rule, or rewrites
+nothing, fails the check.  With no proof, a failing lemma, a replay that
+ends off the rhs or an rhs shift that reaches the order, it series-checks
+the identity itself, the reference and the source of every failure witness.
 
 Decomposition and VerifyOutcome are immutable namedtuples; the
 Decomposition constructor, which _make and _replace call, checks the
@@ -39,11 +40,6 @@ from .theta import (
     canonicalize,
     expression_series,
 )
-
-# Longest derivation derive_decomposition searches for; every packaged
-# decomposition needs at most three lemma applications.
-MAX_PROOF_STEPS = 3
-
 
 class DecompositionError(ValueError):
     """Structural violation in a decomposition."""
@@ -127,19 +123,25 @@ def _series_check(d: Decomposition, order: int) -> VerifyOutcome:
 
 
 @lru_cache(maxsize=256)
-def verify_decomposition(d: Decomposition, order: int, lemmas: tuple = ()) -> VerifyOutcome:
-    """d checked to order: derived from lemmas that hold there, else by _series_check.
+def verify_decomposition(d: Decomposition, order: int, proof: tuple = ()) -> VerifyOutcome:
+    """d checked to order: replayed from a proof whose lemmas hold there, else by _series_check.
 
-    lemmas holds (name, lhs, rhs) triples as derive_decomposition takes them.
+    proof holds (lhs, rhs, n) steps, lhs a ProductTerm and rhs a
+    ThetaExpression, applied in order by _rewrite.
     """
-    steps = None
-    if lemmas and max(t.shift for t in d.rhs) < order:
-        steps = derive_decomposition(d, lemmas)
-    used = {name for name, _n in steps or ()}
-    derived = steps is not None and all(
-        verify_identity(ThetaExpression((lhs,)), rhs, order).ok
-        for name, lhs, rhs in lemmas
-        if name in used
+    state = _merge([d.lhs])
+    for step, (lhs, rhs, n) in enumerate(proof, start=1):
+        rule = canonicalize(lhs)
+        if rule.multiplier != 1 or rule.shift != 0:
+            return VerifyOutcome(False, None, f"proof step {step}: lemma lhs is not a bare product")
+        state = _rewrite(state, rule.atoms, rhs.terms, n, d.modulus)
+        if state is None:
+            return VerifyOutcome(False, None, f"proof step {step} rewrites no open term")
+    derived = (
+        proof
+        and state == _merge(d.rhs)
+        and max(t.shift for t in d.rhs) < order
+        and all(verify_identity(ThetaExpression((lhs,)), rhs, order).ok for lhs, rhs, _n in proof)
     )
     if not derived:
         out = _series_check(d, order)
@@ -162,19 +164,17 @@ def _merge(terms) -> dict[tuple[int, tuple[ThetaAtom, ...]], int]:
     return state
 
 
-def _is_open(atoms: tuple[ThetaAtom, ...], k: int) -> bool:
-    return any(a.i % k or a.j % k for a in atoms)
-
-
 def _rewrite(state, lhs_atoms, rhs_terms, n: int, k: int):
-    """Apply lhs -> rhs under q -> q^n to every open term containing the lhs."""
+    """Apply lhs -> rhs under q -> q^n to every open term containing the lhs;
+    None when no open term contains it."""
     pattern = Counter(_scaled(lhs_atoms, n))
-    out = []
+    out, hit = [], False
     for (shift, atoms), mult in state.items():
         have = Counter(atoms)
-        if not _is_open(atoms, k) or pattern - have:
+        if all(a.i % k == a.j % k == 0 for a in atoms) or pattern - have:
             out.append(ProductTerm(mult, shift, atoms))
             continue
+        hit = True
         rest = tuple((have - pattern).elements())
         for t in rhs_terms:
             out.append(
@@ -182,57 +182,7 @@ def _rewrite(state, lhs_atoms, rhs_terms, n: int, k: int):
                     mult * t.multiplier, shift + n * t.shift, rest + _scaled(t.atoms, n)
                 )
             )
-    return _merge(out)
-
-
-def derive_decomposition(
-    d: Decomposition, lemmas
-) -> tuple[tuple[str, int], ...] | None:
-    """Shortest derivation of d from the lemmas, or None within MAX_PROOF_STEPS.
-
-    lemmas holds (name, lhs, rhs) triples, each lhs a ProductTerm and each
-    rhs a ThetaExpression; only those whose lhs is a bare product after
-    canonicalize take part.  One step (name, n) rewrites every term that
-    still has an atom not divisible by the modulus and contains the lemma
-    lhs under q -> q^n.  The search is breadth-first over the canonical sum
-    of terms and succeeds when it equals the canonical rhs exactly.  The
-    caller vouches that every lemma holds to the order it claims for d.
-    """
-    k = d.modulus
-    rules = []
-    for name, lhs, rhs in lemmas:
-        c = canonicalize(lhs)
-        if c.multiplier == 1 and c.shift == 0:
-            rules.append((name, c.atoms, rhs.terms))
-    target = _merge(d.rhs)
-    start = _merge([d.lhs])
-    if start == target:
-        return ()
-    frontier = [((), start)]
-    seen = {frozenset(start.items())}
-    for _ in range(MAX_PROOF_STEPS):
-        next_frontier = []
-        for steps, state in frontier:
-            candidates = {}
-            for _shift, atoms in state:
-                if not _is_open(atoms, k):
-                    continue
-                for name, lhs_atoms, rhs_terms in rules:
-                    head = lhs_atoms[0]
-                    for a in set(atoms):
-                        n, r = divmod(a.i, head.i)
-                        if not r and a.j == n * head.j:
-                            candidates[(name, n)] = (lhs_atoms, rhs_terms)
-            for step, (lhs_atoms, rhs_terms) in candidates.items():
-                new = _rewrite(state, lhs_atoms, rhs_terms, step[1], k)
-                if new == target:
-                    return steps + (step,)
-                key = frozenset(new.items())
-                if key not in seen:
-                    seen.add(key)
-                    next_frontier.append((steps + (step,), new))
-        frontier = next_frontier
-    return None
+    return _merge(out) if hit else None
 
 
 @lru_cache(maxsize=256)

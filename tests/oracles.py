@@ -11,6 +11,10 @@ stepped_atom_exponents walks each branch of a theta atom one n at a time;
 char_tokenize is a character-by-character lexer that gives each token's
 span as it scans, checked against dsl.tokenize's plain strings with the
 spans that dsl's error path finds by scanning again.
+
+derive_decomposition is not a second route but the prover: the
+breadth-first search over lemma rewrites that found each decomposition's
+recorded proof, which the package only replays.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from math import gcd
 from thetasums.dsl import ParseError, SourceSpan
 from thetasums.polygonal import PolygonalSum, QuadTerm
 from thetasums.series import Series
-from thetasums.theta import ThetaAtom, product_series
+from thetasums.theta import ThetaAtom, canonicalize, product_series
+from thetasums.transfer import _merge, _rewrite
 
 
 def schoolbook_mul(a: Series, b: Series) -> Series:
@@ -221,3 +226,63 @@ def char_tokenize(text: str) -> list[tuple[str, SourceSpan]]:
         col += 1
     tokens.append(("", SourceSpan(line, col, col)))
     return tokens
+
+
+def lemma_rules(catalog) -> tuple:
+    """(key, lhs, rhs) of each identity whose lhs is one product, in load order."""
+    return tuple(
+        (e.key, e.lhs.terms[0], e.rhs)
+        for e in catalog.of_kind("identity")
+        if len(e.lhs.terms) == 1
+    )
+
+
+def derive_decomposition(d, lemmas, max_steps: int = 3) -> tuple[tuple[str, int], ...] | None:
+    """Shortest derivation of d from the lemmas as (key, n) steps, or None
+    within max_steps.
+
+    lemmas holds (key, lhs, rhs) triples, as lemma_rules gives them; only
+    those whose lhs is a bare product after canonicalize take part.  A step
+    (key, n) is transfer._rewrite under q -> q^n, the rewrite that
+    verify_decomposition replays.  The search is breadth-first over the
+    canonical sum of terms; it tries each lemma at each n that maps the
+    lemma's first atom onto an atom of an open term, and succeeds when the
+    sum equals the canonical rhs exactly.
+    """
+    k = d.modulus
+    rules = []
+    for key, lhs, rhs in lemmas:
+        c = canonicalize(lhs)
+        if c.multiplier == 1 and c.shift == 0:
+            rules.append((key, c.atoms, rhs.terms))
+    target = _merge(d.rhs)
+    start = _merge([d.lhs])
+    if start == target:
+        return ()
+    frontier = [((), start)]
+    seen = {frozenset(start.items())}
+    for _ in range(max_steps):
+        next_frontier = []
+        for steps, state in frontier:
+            candidates = {}
+            for _shift, atoms in state:
+                if all(a.i % k == a.j % k == 0 for a in atoms):
+                    continue
+                for key, lhs_atoms, rhs_terms in rules:
+                    head = lhs_atoms[0]
+                    for a in set(atoms):
+                        n, r = divmod(a.i, head.i)
+                        if not r and a.j == n * head.j:
+                            candidates[(key, n)] = (lhs_atoms, rhs_terms)
+            for step, (lhs_atoms, rhs_terms) in candidates.items():
+                new = _rewrite(state, lhs_atoms, rhs_terms, step[1], k)
+                if new is None:
+                    continue
+                if new == target:
+                    return steps + (step,)
+                key = frozenset(new.items())
+                if key not in seen:
+                    seen.add(key)
+                    next_frontier.append((steps + (step,), new))
+        frontier = next_frontier
+    return None

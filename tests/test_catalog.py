@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,12 @@ from thetasums.catalog import (
 )
 from thetasums.polygonal import QuadTerm, sum_families
 from thetasums.transfer import (
-    derive_decomposition,
     derive_sums,
     verify_decomposition,
     verify_identity,
 )
+
+from oracles import derive_decomposition, lemma_rules
 
 
 def test_load_counts(catalog):
@@ -115,6 +117,63 @@ def test_malformed_via_fails_at_load(via):
         parse_catalog_text(text + via)
 
 
+Q1_PROOF = "proof: eq-2.16 q^2, eq-2.16 q\n"
+BAD_STEPS = "proof must be steps 'KEY q^N' with N >= 1, separated by ','"
+
+
+def test_a_proof_is_read_as_key_and_scaling_steps():
+    def proof(text):
+        return parse_catalog_text(Q1_TEXT + f"proof: {text}\n")[0].proof
+
+    assert proof("eq-2.16 q^2, eq-2.16 q") == (("eq-2.16", 2), ("eq-2.16", 1))
+    assert proof("  eq-2.16  q^1 ,eq-2.20 q^12") == (("eq-2.16", 1), ("eq-2.20", 12))
+    assert parse_catalog_text(Q1_TEXT)[0].proof == ()
+
+
+def test_a_directory_gives_its_decompositions_the_proofs_of_its_proofs_files(tmp_path):
+    (tmp_path / "a.cat").write_text(Q1_TEXT + "\n[x] kind: base-fact\nsum: p3\n")
+    proofs = tmp_path / "a.proofs"
+    proofs.write_text("# Q1: not a line\n\nQ1 :  eq-2.16 q^2, eq-2.16 q\n")
+    assert load_catalog(tmp_path).by_key["Q1"].proof == (("eq-2.16", 2), ("eq-2.16", 1))
+    assert load_catalog(tmp_path / "a.cat").by_key["Q1"].proof == ()
+    for text, message in (
+        ("Q1: eq-2.16 q\nQ1: eq-2.16 q", "a.proofs:2: [Q1]: not a decomposition without a proof"),
+        ("\nQ9: eq-2.16 q", "a.proofs:2: [Q9]: not a decomposition without a proof"),
+        ("x: eq-2.16 q", "a.proofs:1: [x]: not a decomposition without a proof"),
+        ("Q1 eq-2.16 q", "a.proofs:1: [Q1 eq-2.16 q]: not a decomposition without a proof"),
+        ("Q1: eq-2.16", f"a.proofs:1: [Q1]: {BAD_STEPS}"),
+    ):
+        proofs.write_text(text)
+        with pytest.raises(CatalogError) as info:
+            load_catalog(tmp_path)
+        assert str(info.value) == message
+    proofs.write_text("Q1: eq-2.16 q")
+    (tmp_path / "a.cat").write_text(Q1_TEXT + Q1_PROOF)
+    with pytest.raises(CatalogError, match=r"^a.proofs:1: \[Q1\]: not a decomposition without"):
+        load_catalog(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "proof, message",
+    [
+        ("eq-2.16", BAD_STEPS),
+        ("eq-2.16 q^2 eq-2.16 q", BAD_STEPS),
+        ("eq-2.16 q^2,", BAD_STEPS),
+        ("eq-2.16 q^", BAD_STEPS),
+        ("eq-2.16 2", BAD_STEPS),
+        ("", BAD_STEPS),
+        ("eq-2.16 q^0", BAD_STEPS),
+        ("eq-2.16 q^" + "9" * 5000, "proof step scaling has too many digits"),
+    ],
+    ids=["no-scaling", "no-comma", "trailing-comma", "no-exponent", "bare-n", "empty", "q0",
+         "too-many-digits"],
+)
+def test_a_malformed_proof_fails_at_its_line(proof, message):
+    with pytest.raises(CatalogError) as info:
+        parse_catalog_text(Q1_TEXT + f"proof: {proof}\n")
+    assert str(info.value) == f"<catalog>:5: [Q1]: {message}"
+
+
 @pytest.mark.parametrize(
     "modulus", ["\u0664", "0_4", "+4"], ids=["arabic-indic-four", "underscore", "plus"]
 )
@@ -174,7 +233,8 @@ def test_a_repeated_key_names_both_places(tmp_path):
     assert str(info.value) == "b.cat:3: duplicate catalog key 'x', first at a.cat:1"
 
 
-def test_the_lemmas_are_collected_once_per_catalog(catalog, monkeypatch):
+def test_a_run_reads_the_lemmas_by_key_and_scans_no_kind(catalog, monkeypatch):
+    # A proof names its lemmas, so no run collects the identities.
     fresh = Catalog(catalog.entries)
     kinds = []
     of_kind = Catalog.of_kind
@@ -183,8 +243,7 @@ def test_the_lemmas_are_collected_once_per_catalog(catalog, monkeypatch):
     )
     report = run_catalog(fresh, order=200, bound=2000, kinds=("decomposition", "target-sum"))
     assert report.ok
-    assert kinds == ["identity"]
-    assert fresh.lemmas is fresh.lemmas
+    assert kinds == []
 
 
 def test_a_ref_is_read_between_its_quotes():
@@ -532,13 +591,15 @@ def _with_identities(text):
     return Catalog(parse_catalog_text(identities + "\n" + text))
 
 
+# Each with Q1's proof, whose replay ends off the wrong rhs.
 BROKEN_Q1_TEXT = {
-    "atom": Q1_TEXT.replace("+ q*X(q^16)", "+ q*X(q^12)"),
-    "multiplier": Q1_TEXT.replace("+ q*X(q^16)", "+ 2*q*X(q^16)"),
+    "atom": Q1_TEXT.replace("+ q*X(q^16)", "+ q*X(q^12)") + Q1_PROOF,
+    "multiplier": Q1_TEXT.replace("+ q*X(q^16)", "+ 2*q*X(q^16)") + Q1_PROOF,
     # The shifts of two residue terms swapped.
     "shift": Q1_TEXT.replace("+ q^2*X(q^8)", "+ q*X(q^8)").replace(
         "+ q*X(q^16)", "+ q^2*X(q^16)"
-    ),
+    )
+    + Q1_PROOF,
 }
 
 
@@ -546,10 +607,10 @@ BROKEN_Q1_TEXT = {
 def test_a_wrong_rhs_has_no_derivation_and_fails_with_the_series_witness(
     fault, verify_calls
 ):
-    assert BROKEN_Q1_TEXT[fault] != Q1_TEXT
+    assert BROKEN_Q1_TEXT[fault] != Q1_TEXT + Q1_PROOF
     catalog = _with_identities(BROKEN_Q1_TEXT[fault])
     d = catalog.by_key["Q1"].decomposition
-    assert derive_decomposition(d, catalog.lemmas) is None
+    assert derive_decomposition(d, lemma_rules(catalog)) is None
     reference = verify_decomposition(d, 200)
     verify_calls.clear()
     row = run_catalog(catalog, order=200, bound=500, keys=["Q1"]).rows[0]
@@ -564,7 +625,7 @@ FALSE_EQ_2_16 = (
 )
 ONLY_BY_FALSE_LEMMA = (
     "[D] kind: decomposition\nlhs: Y(q)*Y(q^4)^3\nmodulus: 4\n"
-    "rhs: X(q^8)*Y(q^4)^3 + 2*q*Y(q^4)^4\n"
+    "rhs: X(q^8)*Y(q^4)^3 + 2*q*Y(q^4)^4\nproof: eq-2.16 q\n"
 )
 
 
@@ -573,7 +634,7 @@ def test_a_failing_identity_is_not_used_as_a_lemma(verify_calls):
     false = catalog.by_key["eq-2.16"]
     d = catalog.by_key["D"].decomposition
     # D does follow from the false lemma, so only the lemma's check stops it.
-    assert derive_decomposition(d, [("eq-2.16", false.lhs.terms[0], false.rhs)])
+    assert derive_decomposition(d, lemma_rules(catalog)) == catalog.by_key["D"].proof
     reference = verify_decomposition(d, 200)
     verify_calls.clear()
     rows = run_catalog(catalog, order=200, bound=500).rows
@@ -589,18 +650,21 @@ def test_a_failing_identity_is_not_used_as_a_lemma(verify_calls):
 
 
 def test_the_derivation_gives_the_outcome_of_the_series_check(catalog):
-    # The faster path against the naive one: with its lemmas a decomposition
+    # The faster path against the naive one: with its proof a decomposition
     # passes or fails exactly as its own series check says, witness included.
-    cases = [(catalog.lemmas, e.decomposition) for e in catalog.of_kind("decomposition")]
+    cases = [(catalog, e) for e in catalog.of_kind("decomposition")]
     for text in BROKEN_Q1_TEXT.values():
         broken = _with_identities(text)
-        cases.append((broken.lemmas, broken.by_key["Q1"].decomposition))
+        cases.append((broken, broken.by_key["Q1"]))
     false = Catalog(parse_catalog_text(FALSE_EQ_2_16 + ONLY_BY_FALSE_LEMMA))
-    cases.append((false.lemmas, false.by_key["D"].decomposition))
+    cases.append((false, false.by_key["D"]))
     assert len(cases) == 46
+    assert all(entry.proof for _, entry in cases)
     verify_decomposition.cache_clear()
-    for lemmas, d in cases:
-        assert verify_decomposition(d, 300, lemmas) == verify_decomposition(d, 300), d
+    for source, entry in cases:
+        d = entry.decomposition
+        checked = catalog_module._verify_decomposition(entry, source, 300)
+        assert checked == verify_decomposition(d, 300), d
 
 
 def test_q1_alone_passes_through_the_series_check(verify_calls):
@@ -619,6 +683,101 @@ def test_a_row_checks_only_the_lemmas_its_derivation_uses(catalog):
     # Q1 is derived from (2.16) alone, so none of the other twelve
     # identities is expanded.
     assert verify_identity.cache_info().misses == 1
+
+
+def test_a_run_series_checks_the_eight_lemmas_its_proofs_name_once_each(catalog, monkeypatch):
+    # Below verify_identity's cache, so each call is one series check.
+    calls = []
+
+    def spy(lhs, rhs, order):
+        calls.append((lhs, rhs, order))
+        return verify_identity.__wrapped__(lhs, rhs, order)
+
+    verify_decomposition.cache_clear()
+    monkeypatch.setattr(transfer, "verify_identity", lru_cache(maxsize=256)(spy))
+    report = run_catalog(catalog, order=300, bound=600, kinds=("decomposition", "target-sum"))
+    verify_decomposition.cache_clear()
+    assert report.ok
+    named = ["eq-2.12", "eq-2.16", "eq-2.20", "eq-2.21", "eq-2.22", "eq-2.23", "eq-2.24", "eq-2.25"]
+    lemmas = [catalog.by_key[key] for key in named]
+    assert sorted(calls) == sorted((e.lhs, e.rhs, 300) for e in lemmas)
+    assert {key for e in catalog.of_kind("decomposition") for key, _n in e.proof} == set(named)
+
+
+# A true lemma that is no rewrite rule, and the false decomposition it
+# would prove if read as one: 2*Y(q) = ... would rewrite Y(q) to twice its
+# rhs, and q*Y(q) = ... would add a shift of 1.
+NOT_A_RULE = {
+    "multiplier": ("2*Y(q)", "2*X(q^8) + 2*q*Y(q^4)", "2*X(q^8)*Y(q^4)^3 + 2*q*Y(q^4)^4"),
+    "shift": ("q*Y(q)", "q*X(q^8) + q^2*Y(q^4)", "q*X(q^8)*Y(q^4)^3 + q^2*Y(q^4)^4"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NOT_A_RULE))
+def test_a_lemma_whose_lhs_is_not_a_bare_product_fails_the_row(fault, verify_calls):
+    lhs, rhs, d_rhs = NOT_A_RULE[fault]
+    text = (
+        f"[L] kind: identity\nlhs: {lhs}\nrhs: {rhs}\n\n"
+        f"[D] kind: decomposition\nlhs: Y(q)*Y(q^4)^3\nmodulus: 4\nrhs: {d_rhs}\nproof: L q\n"
+    )
+    rows = run_catalog(Catalog(parse_catalog_text(text)), order=200, bound=500).rows
+    assert [(r.key, r.status) for r in rows] == [("D", "fail"), ("L", "pass")]
+    assert rows[0].detail == "proof step 1: lemma lhs is not a bare product"
+    assert verify_calls == []
+
+
+@pytest.mark.parametrize(
+    "proof, detail",
+    [
+        ("eq-2.99 q", "proof step 1: 'eq-2.99' is not a single-product identity"),
+        ("eq-2.16 q^2, Q1a q", "proof step 2: 'Q1a' is not a single-product identity"),
+        ("two q", "proof step 1: 'two' is not a single-product identity"),
+        ("eq-2.16 q^3", "proof step 1 rewrites no open term"),
+        # After the proof every term is closed, Y(q^4) included.
+        ("eq-2.16 q^2, eq-2.16 q, eq-2.16 q^4", "proof step 3 rewrites no open term"),
+    ],
+    ids=["unknown-key", "a-decomposition", "two-product-lhs", "no-match", "closed-terms"],
+)
+def test_a_proof_step_that_is_no_lemma_rewrite_fails_the_row(proof, detail, verify_calls):
+    text = Q1_TEXT + f"proof: {proof}\n\n"
+    text += "[two] kind: identity\nlhs: phi(q) + psi(q)\nrhs: psi(q) + phi(q)\n\n"
+    text += "[Q1a] kind: decomposition\nlhs: Y(q)*Y(q^2)*Y(q^4)^2\nmodulus: 2\n"
+    text += "rhs: X(q^8)*Y(q^2)*Y(q^4)^2 + q*Y(q^2)*Y(q^4)^3\n"
+    catalog = _with_identities(text)
+    for order in (200, 3):
+        row = run_catalog(catalog, order=order, bound=500, keys=["Q1"]).rows[0]
+        assert (row.status, row.detail) == ("fail", detail)
+    target = "\n[t] kind: target-sum\nsum: 2*p5+4*p5+p8+p8\nvia: Q1 r1\n"
+    row = run_catalog(_with_identities(text + target), order=200, bound=500, keys=["t"]).rows[0]
+    assert (row.status, row.detail) == ("fail", f"deriving identity Q1 failed: {detail}")
+    assert verify_calls == []
+
+
+def test_an_rhs_shift_must_stay_below_the_order_of_a_replay(verify_calls):
+    # Q1's last term has shift 3: order 3 cannot see it, order 4 can.
+    catalog = _with_identities(Q1_TEXT + Q1_PROOF)
+    row = run_catalog(catalog, order=3, bound=500, keys=["Q1"]).rows[0]
+    assert (row.status, row.detail) == ("fail", "insufficient order 3 for shift 3")
+    assert verify_calls == [catalog.by_key["Q1"].decomposition]
+    verify_calls.clear()
+    row = run_catalog(catalog, order=4, bound=500, keys=["Q1"]).rows[0]
+    assert (row.status, row.detail) == (
+        "pass", "verified to order 4; transfer certified to bound 500 (k=4)"
+    )
+    assert verify_calls == []
+
+
+def test_a_via_residue_term_counts_from_1():
+    # r0 names no term; read as an index it would be the last, whose sum
+    # this target is.
+    text = Q1_TEXT + "\n[t] kind: target-sum\nsum: p8+p8+p8+2*p8\nvia: Q1 r"
+    for residue, status, detail in (
+        (0, "fail", "via 'Q1 r0': no residue term 0"),
+        (4, "pass", "certified universal up to 500; via Q1 r4"),
+    ):
+        catalog = Catalog(parse_catalog_text(text + str(residue)))
+        row = run_catalog(catalog, order=100, bound=500, keys=["t"]).rows[0]
+        assert (row.status, row.detail) == (status, detail)
 
 
 def test_a_series_check_keeps_no_order_sized_data(catalog):

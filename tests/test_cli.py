@@ -273,11 +273,15 @@ def test_runs_that_select_nothing_exit_2(tmp_path, capsys, command, catalog, mes
             ("reproduce", "all", "--catalog", "{long_modulus}"),
             "long-modulus.cat:3: [d]: modulus has too many digits",
         ),
+        (
+            ("expand", "phi(q)^99999999999999999999"),
+            "line 1, cols 8-27: product term has more than 256 atoms",
+        ),
     ],
     ids=[
         "expand-order", "universal-bound", "equiv-bound", "verify-order",
         "parse-error-before-bound", "bound-before-missing-catalog", "verify-all-and-a-key",
-        "over-long-via-residue", "over-long-modulus",
+        "over-long-via-residue", "over-long-modulus", "atom-power-past-the-cap",
     ],
 )
 def test_a_bad_argument_value_is_one_error_line(tmp_path, capsys, argv, message):

@@ -50,6 +50,12 @@ def test_parse_multiplier_and_shift():
     assert term.atoms == (ThetaAtom(9, 27), ThetaAtom(3, 15))
 
 
+def test_a_product_term_holds_up_to_the_atom_cap():
+    assert dsl.MAX_PRODUCT_ATOMS == 256
+    terms = parse_theta_expression("phi(q)^128*Y(q)^127*psi(q) + phi(q)^256").terms
+    assert [len(t.atoms) for t in terms] == [256, 256]
+
+
 def test_parse_whitespace_insensitive():
     a = parse_theta_expression("phi(q^4)+2*q*psi(q^8)")
     b = parse_theta_expression("  phi( q^4 )  +  2 * q * psi( q^8 ) ")
@@ -74,6 +80,11 @@ MALFORMED = [
     ("theta_expression", "phi(q)\n  + psi(q^2)\n  + Y(q^3) Y",
      "line 3, cols 12-12: trailing input 'Y'"),
     ("theta_expression", "f(q, q^2", "line 1, cols 9-9: expected ')', found ''"),
+    ("theta_expression", "phi(q)^99999999999999999999",
+     "line 1, cols 8-27: product term has more than 256 atoms"),
+    ("theta_expression", "phi(q) + phi(q)^200*Y(q)^57",
+     "line 1, cols 26-27: product term has more than 256 atoms"),
+    ("theta_expression", "phi(q)^256*Y(q)", "line 1, cols 12-12: product term has more than 256 atoms"),
     ("polygonal_sum", "p2", "line 1, cols 1-1: polygonal order 2 < 3"),
     ("polygonal_sum", "p3 + + p4", "line 1, cols 6-6: expected a term, found '+'"),
     ("polygonal_sum", "x(3x+2)/2", "line 1, cols 1-1: parity violation: 3 and -2 differ mod 2"),

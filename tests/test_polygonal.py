@@ -526,6 +526,19 @@ def test_folds_that_stop_early_match_a_fold_without_exit(prefix, last, bound):
     assert sum_value_mask(s, bound) == expected_value_mask(s, bound)
 
 
+@pytest.mark.parametrize("text", ["9*p5 + 8*p3", "p3 + 2*p4", "3*p5 + 5*p8 + p3"])
+def test_a_fold_that_stops_early_keeps_the_value_at_its_bound(fresh_masks, text):
+    # The early exit must wait for bit 0 too, the value bound itself.  An
+    # exit mask one bit short loses it: these sums would then miss their
+    # bound at 24, 80 and 288; 9, 32 and 129; and 7, 22, 38 and 129.
+    s = parse_polygonal_sum(text)
+    missing = brute_missing(s, 400)
+    for bound in range(1, 401):
+        fresh_masks.clear()
+        expected = tuple(m for m in missing if m <= bound)
+        assert certify_universal(s, bound).missing == expected, bound
+
+
 def test_the_last_fold_stops_once_no_gap_is_left_above_the_next_value(values_read):
     # p4 + p4 + p4 misses the numbers 4^a(8b+7); a few small squares fill
     # every one of them, so the last fold reads only a handful of squares.

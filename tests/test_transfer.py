@@ -1,18 +1,21 @@
+from collections import Counter
+
 import pytest
 
 from thetasums import catalog as catalog_module
+from thetasums import transfer
 from thetasums.catalog import Catalog, parse_catalog_text, run_catalog
 from thetasums.dsl import parse_polygonal_sum, parse_theta_expression
 from thetasums.polygonal import SieveTable, certify_universal, sum_families
 from thetasums.theta import ProductTerm, ThetaAtom
 from thetasums.transfer import (
-    MAX_PROOF_STEPS,
     Decomposition,
     DecompositionError,
-    derive_decomposition,
     derive_sums,
     verify_decomposition,
 )
+
+from oracles import derive_decomposition, lemma_rules
 
 
 def get_decomposition(catalog, key):
@@ -38,6 +41,13 @@ def test_structural_validation():
         Decomposition(lhs, 2, bad)
     with pytest.raises(DecompositionError):
         Decomposition(ProductTerm(2, 0, lhs.atoms), 2, good)  # lhs multiplier
+
+
+def test_an_rhs_atom_needs_both_exponents_divisible_by_the_modulus():
+    lhs = parse_theta_expression("Y(q)*Y(q^2)*Y(q^4)^2").terms[0]
+    rhs = parse_theta_expression("X(q^8)*X(q^16)*Y(q^4)^2 + q*f(q^4, q^6)*Y(q^4)^3").terms
+    with pytest.raises(DecompositionError, match=r"atom \(4, 6\) exponents not divisible by 4"):
+        Decomposition(lhs, 4, rhs)
 
 
 def test_verify_q1_and_q18(catalog):
@@ -159,34 +169,67 @@ def test_three_atom_products_use_the_same_machinery():
     assert not certify_universal(lhs_sum, 500).universal
 
 
-def test_every_packaged_decomposition_is_derived_from_the_lemmas(catalog):
-    # The series product stays the reference: each derived decomposition
-    # must also pass it.
-    lemmas = catalog.lemmas
-    assert len(lemmas) == len(catalog.of_kind("identity"))
+@pytest.fixture
+def series_checks(monkeypatch):
+    """Decompositions that reach the series check, in call order."""
+    calls = []
+    series_check = transfer._series_check
+
+    def spy(d, order):
+        calls.append(d)
+        return series_check(d, order)
+
+    verify_decomposition.cache_clear()
+    monkeypatch.setattr(transfer, "_series_check", spy)
+    yield calls
+    verify_decomposition.cache_clear()
+
+
+def _steps(catalog, proof):
+    """verify_decomposition's (lhs, rhs, n) steps for (key, n) steps."""
+    return tuple((catalog.by_key[k].lhs.terms[0], catalog.by_key[k].rhs, n) for k, n in proof)
+
+
+def test_every_packaged_decomposition_is_derived_from_the_lemmas(catalog, series_checks):
+    # Each recorded proof replays to its rhs with no series check, and the
+    # search finds a derivation of the recorded length, so none shorter.
+    # The series product stays the reference: each decomposition passes it.
     assert run_catalog(catalog, order=512, kinds=("identity",)).ok
+    lemmas = lemma_rules(catalog)
+    assert len(lemmas) == len(catalog.of_kind("identity"))
+    lengths = Counter()
     for entry in catalog.of_kind("decomposition"):
-        steps = derive_decomposition(entry.decomposition, lemmas)
-        assert steps is not None, entry.key
-        assert 1 <= len(steps) <= MAX_PROOF_STEPS, entry.key
-        out = verify_decomposition(entry.decomposition, 512)
-        assert out.ok, (entry.key, out.detail)
+        d = entry.decomposition
+        out = verify_decomposition(d, 512, _steps(catalog, entry.proof))
+        assert out.ok and series_checks == [], (entry.key, out.detail)
+        found = derive_decomposition(d, lemmas)
+        assert found is not None and len(found) == len(entry.proof), entry.key
+        assert verify_decomposition(d, 512).ok, entry.key
+        assert series_checks == [d]
+        series_checks.clear()
+        lengths[len(entry.proof)] += 1
+    assert lengths == {1: 38, 2: 4}
 
 
 def test_q1_applies_eq_2_16_at_q_and_q2(catalog):
-    steps = derive_decomposition(get_decomposition(catalog, "Q1"), catalog.lemmas)
-    assert sorted(steps) == [("eq-2.16", 1), ("eq-2.16", 2)]
+    q1 = catalog.by_key["Q1"]
+    assert q1.proof == (("eq-2.16", 2), ("eq-2.16", 1))
+    assert derive_decomposition(q1.decomposition, lemma_rules(catalog)) == q1.proof
 
 
-def test_a_product_of_divisible_atoms_needs_no_step():
+def test_a_product_of_divisible_atoms_needs_no_step(series_checks):
+    # The search finds the empty derivation; an empty proof is no proof,
+    # so the check is the series check, which agrees.
     lhs = parse_theta_expression("X(q^2)^4").terms[0]
     d = Decomposition(lhs, 2, parse_theta_expression("X(q^2)^4").terms)
     assert derive_decomposition(d, ()) == ()
+    assert verify_decomposition(d, 300).ok
     d = Decomposition(lhs, 2, parse_theta_expression("2*X(q^2)^4").terms)
     assert derive_decomposition(d, ()) is None
+    assert not verify_decomposition(d, 300).ok
 
 
-def test_like_terms_are_added(catalog):
+def test_like_terms_are_added(catalog, series_checks):
     # phi(q)^2 by (2.12) twice: the two cross terms 2*q*phi(q^4)*psi(q^8)
     # meet in one term with multiplier 4.
     lhs = parse_theta_expression("phi(q)^2*Y(q^4)").terms[0]
@@ -194,12 +237,17 @@ def test_like_terms_are_added(catalog):
         "phi(q^4)^2*Y(q^4) + {m}*q*phi(q^4)*psi(q^8)*Y(q^4)"
         " + 4*q^2*psi(q^8)^2*Y(q^4)"
     )
-    lemmas = catalog.lemmas
+    lemmas = lemma_rules(catalog)
+    proof = (("eq-2.12", 1), ("eq-2.12", 1))
     true = Decomposition(lhs, 4, parse_theta_expression(rhs.format(m=4)).terms)
-    assert derive_decomposition(true, lemmas) == (("eq-2.12", 1), ("eq-2.12", 1))
-    assert verify_decomposition(true, 400).ok
+    assert derive_decomposition(true, lemmas) == proof
+    assert verify_decomposition(true, 400, _steps(catalog, proof)).ok
+    assert series_checks == []
     false = Decomposition(lhs, 4, parse_theta_expression(rhs.format(m=2)).terms)
     assert derive_decomposition(false, lemmas) is None
+    out = verify_decomposition(false, 400, _steps(catalog, proof))
+    assert out.detail == "residue 1: coefficient 4 vs 2 at q^1"
+    assert series_checks == [false]
 
 
 # -- transfer rows: the lhs certified to the bound, each rhs sum to its derived bound
