@@ -11,9 +11,7 @@ with no whitespace; a ref, which may be left out, is one double-quoted
 string with no '"' inside it.  Each kind allows only these fields:
 
     identity       lhs:, rhs:            theta expressions; checked by series
-    decomposition  lhs:, modulus:, rhs:, proof:, base:, claims:
-                                         'proof: KEY q^N, KEY q, ...' lists the
-                                         lemma steps in order; claims '|'-separated
+    decomposition  lhs:, modulus:, rhs:, base:, claims:  (claims '|'-separated)
     equivalence    chain:, certify:      sums joined by '~', checked pairwise;
                                          'certify: members' certifies each sum
     base-fact      sum:                  externally known sum, re-certified
@@ -24,6 +22,11 @@ string with no '"' inside it.  Each kind allows only these fields:
 
 Entries parse at load time; malformed data, including a field the kind does
 not allow, is a startup failure that names its file and line.
+
+A line 'KEY: LEMMA q^N, LEMMA q, ...' of a *.proofs file gives the
+decomposition KEY its proof: the lemma steps that derive its rhs, in the
+order they apply, each LEMMA under q -> q^N (N >= 1).  Only a directory
+load reads *.proofs files; a catalog file loaded alone has no proofs.
 
 The theorem lists are read from the data, never from key names: they hold
 every target-sum with a 'via' and every member of a 'certify: members'
@@ -68,7 +71,7 @@ from .transfer import (
 
 FIELDS = {
     "identity": ("lhs", "rhs"),
-    "decomposition": ("lhs", "modulus", "rhs", "proof", "base", "claims"),
+    "decomposition": ("lhs", "modulus", "rhs", "base", "claims"),
     "equivalence": ("chain", "certify"),
     "base-fact": ("sum",),
     "target-sum": ("sum", "via", "anchor"),
@@ -222,8 +225,6 @@ def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> No
                 raise CatalogError("modulus has too many digits") from None
             rhs = dsl.parse_theta_expression(value("rhs"))
             entry.decomposition = Decomposition(lhs.terms[0], modulus, rhs.terms)
-            if "proof" in entry.fields:
-                entry.proof = _parse_proof(value("proof"))
             if "base" in entry.fields:
                 entry.base = dsl.parse_polygonal_sum(value("base"))
             if "claims" in entry.fields:
@@ -267,12 +268,10 @@ def default_catalog_dir():
 
 
 def load_catalog(path: str | Path | None = None) -> Catalog:
-    """Load a catalog from a file, a directory of *.cat files, or, with no
-    path, the packaged data directory; a directory's files load by name.
-
-    A directory's *.proofs files then give its decompositions their proofs,
-    one 'KEY: STEP, ...' line each.  Files are read as UTF-8; a file that
-    cannot be read or decoded is a CatalogError that names it.
+    """Load a catalog from a file, a directory of *.cat files and the
+    *.proofs files that attach_proofs reads, or, with no path, the packaged
+    data directory; a directory's files load by name.  Files are read as
+    UTF-8; a file that cannot be read or decoded is a CatalogError naming it.
     """
     root = default_catalog_dir() if path is None else Path(path)
     files = [root]
@@ -296,18 +295,20 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
             entries += parse_catalog_text(text, f.name)
     catalog = Catalog(entries)
     for text, where in proofs:
-        _attach_proofs(catalog, text, where)
+        attach_proofs(catalog, text, where)
     return catalog
 
 
-def _attach_proofs(catalog: Catalog, text: str, where: str) -> None:
-    """Set the proof of the decomposition each 'KEY: STEP, ...' line names."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        key, _sep, steps = (part.strip() for part in line.partition(":"))
-        if not key or key.startswith("#"):
+def attach_proofs(catalog: Catalog, text: str, where: str = "<proofs>") -> None:
+    """Give each decomposition the proof a 'KEY: STEP, ...' line of text names."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not (line := raw.strip()) or line.startswith("#"):
             continue
+        key, sep, steps = (part.strip() for part in line.partition(":"))
+        if not sep:
+            raise CatalogError(f"{where}:{lineno}: expected 'KEY: STEP, ...', got {line!r}")
         entry = catalog.by_key.get(key)
-        if entry is None or entry.kind != "decomposition" or entry.proof or "proof" in entry.fields:
+        if entry is None or entry.kind != "decomposition" or entry.proof:
             raise CatalogError(f"{where}:{lineno}: [{key}]: not a decomposition without a proof")
         try:
             entry.proof = _parse_proof(steps)

@@ -12,6 +12,7 @@ from thetasums.catalog import (
     FIELDS,
     Catalog,
     CatalogError,
+    attach_proofs,
     default_catalog_dir,
     load_catalog,
     parse_catalog_text,
@@ -98,8 +99,10 @@ Q1_TEXT = (
         "[x] kind: target-sum\nsum: p3+4*p3+p5+2*p5\nanchor: thm3.1",
         # A field of another kind.
         "[x] kind: base-fact\nsum: p3+p3+p3\nvia: Q1 r1",
+        # A proof is read from a *.proofs file only.
+        Q1_TEXT + "proof: eq-2.16 q^2, eq-2.16 q",
     ],
-    ids=["claim", "certfy", "certify-all", "anchor-key", "field-of-another-kind"],
+    ids=["claim", "certfy", "certify-all", "anchor-key", "field-of-another-kind", "proof"],
 )
 def test_fields_the_kind_does_not_allow_fail_at_load(text):
     with pytest.raises(CatalogError):
@@ -117,17 +120,23 @@ def test_malformed_via_fails_at_load(via):
         parse_catalog_text(text + via)
 
 
-Q1_PROOF = "proof: eq-2.16 q^2, eq-2.16 q\n"
+Q1_PROOF = "Q1: eq-2.16 q^2, eq-2.16 q"
 BAD_STEPS = "proof must be steps 'KEY q^N' with N >= 1, separated by ','"
+
+
+def _catalog(text, proofs=""):
+    catalog = Catalog(parse_catalog_text(text))
+    attach_proofs(catalog, proofs)
+    return catalog
 
 
 def test_a_proof_is_read_as_key_and_scaling_steps():
     def proof(text):
-        return parse_catalog_text(Q1_TEXT + f"proof: {text}\n")[0].proof
+        return _catalog(Q1_TEXT, f"Q1: {text}").by_key["Q1"].proof
 
     assert proof("eq-2.16 q^2, eq-2.16 q") == (("eq-2.16", 2), ("eq-2.16", 1))
     assert proof("  eq-2.16  q^1 ,eq-2.20 q^12") == (("eq-2.16", 1), ("eq-2.20", 12))
-    assert parse_catalog_text(Q1_TEXT)[0].proof == ()
+    assert _catalog(Q1_TEXT).by_key["Q1"].proof == ()
 
 
 def test_a_directory_gives_its_decompositions_the_proofs_of_its_proofs_files(tmp_path):
@@ -140,17 +149,13 @@ def test_a_directory_gives_its_decompositions_the_proofs_of_its_proofs_files(tmp
         ("Q1: eq-2.16 q\nQ1: eq-2.16 q", "a.proofs:2: [Q1]: not a decomposition without a proof"),
         ("\nQ9: eq-2.16 q", "a.proofs:2: [Q9]: not a decomposition without a proof"),
         ("x: eq-2.16 q", "a.proofs:1: [x]: not a decomposition without a proof"),
-        ("Q1 eq-2.16 q", "a.proofs:1: [Q1 eq-2.16 q]: not a decomposition without a proof"),
+        ("Q1 eq-2.16 q", "a.proofs:1: expected 'KEY: STEP, ...', got 'Q1 eq-2.16 q'"),
         ("Q1: eq-2.16", f"a.proofs:1: [Q1]: {BAD_STEPS}"),
     ):
         proofs.write_text(text)
         with pytest.raises(CatalogError) as info:
             load_catalog(tmp_path)
         assert str(info.value) == message
-    proofs.write_text("Q1: eq-2.16 q")
-    (tmp_path / "a.cat").write_text(Q1_TEXT + Q1_PROOF)
-    with pytest.raises(CatalogError, match=r"^a.proofs:1: \[Q1\]: not a decomposition without"):
-        load_catalog(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -170,8 +175,8 @@ def test_a_directory_gives_its_decompositions_the_proofs_of_its_proofs_files(tmp
 )
 def test_a_malformed_proof_fails_at_its_line(proof, message):
     with pytest.raises(CatalogError) as info:
-        parse_catalog_text(Q1_TEXT + f"proof: {proof}\n")
-    assert str(info.value) == f"<catalog>:5: [Q1]: {message}"
+        _catalog(Q1_TEXT, f"# Q1's proof\nQ1: {proof}\n")
+    assert str(info.value) == f"<proofs>:2: [Q1]: {message}"
 
 
 @pytest.mark.parametrize(
@@ -586,20 +591,19 @@ def test_packaged_decompositions_pass_without_the_series_check(catalog, verify_c
     assert all(r.detail.startswith("verified to order 300;") for r in report.rows)
 
 
-def _with_identities(text):
+def _with_identities(text, proofs=""):
     identities = (default_catalog_dir() / "identities.cat").read_text()
-    return Catalog(parse_catalog_text(identities + "\n" + text))
+    return _catalog(identities + "\n" + text, proofs)
 
 
-# Each with Q1's proof, whose replay ends off the wrong rhs.
+# Each checked with Q1's proof, whose replay ends off the wrong rhs.
 BROKEN_Q1_TEXT = {
-    "atom": Q1_TEXT.replace("+ q*X(q^16)", "+ q*X(q^12)") + Q1_PROOF,
-    "multiplier": Q1_TEXT.replace("+ q*X(q^16)", "+ 2*q*X(q^16)") + Q1_PROOF,
+    "atom": Q1_TEXT.replace("+ q*X(q^16)", "+ q*X(q^12)"),
+    "multiplier": Q1_TEXT.replace("+ q*X(q^16)", "+ 2*q*X(q^16)"),
     # The shifts of two residue terms swapped.
     "shift": Q1_TEXT.replace("+ q^2*X(q^8)", "+ q*X(q^8)").replace(
         "+ q*X(q^16)", "+ q^2*X(q^16)"
-    )
-    + Q1_PROOF,
+    ),
 }
 
 
@@ -607,8 +611,8 @@ BROKEN_Q1_TEXT = {
 def test_a_wrong_rhs_has_no_derivation_and_fails_with_the_series_witness(
     fault, verify_calls
 ):
-    assert BROKEN_Q1_TEXT[fault] != Q1_TEXT + Q1_PROOF
-    catalog = _with_identities(BROKEN_Q1_TEXT[fault])
+    assert BROKEN_Q1_TEXT[fault] != Q1_TEXT
+    catalog = _with_identities(BROKEN_Q1_TEXT[fault], Q1_PROOF)
     d = catalog.by_key["Q1"].decomposition
     assert derive_decomposition(d, lemma_rules(catalog)) is None
     reference = verify_decomposition(d, 200)
@@ -625,12 +629,13 @@ FALSE_EQ_2_16 = (
 )
 ONLY_BY_FALSE_LEMMA = (
     "[D] kind: decomposition\nlhs: Y(q)*Y(q^4)^3\nmodulus: 4\n"
-    "rhs: X(q^8)*Y(q^4)^3 + 2*q*Y(q^4)^4\nproof: eq-2.16 q\n"
+    "rhs: X(q^8)*Y(q^4)^3 + 2*q*Y(q^4)^4\n"
 )
+D_PROOF = "D: eq-2.16 q"
 
 
 def test_a_failing_identity_is_not_used_as_a_lemma(verify_calls):
-    catalog = Catalog(parse_catalog_text(FALSE_EQ_2_16 + ONLY_BY_FALSE_LEMMA))
+    catalog = _catalog(FALSE_EQ_2_16 + ONLY_BY_FALSE_LEMMA, D_PROOF)
     false = catalog.by_key["eq-2.16"]
     d = catalog.by_key["D"].decomposition
     # D does follow from the false lemma, so only the lemma's check stops it.
@@ -644,7 +649,7 @@ def test_a_failing_identity_is_not_used_as_a_lemma(verify_calls):
     # With the true (2.16) the same lhs derives the true rhs, with no
     # series check.
     true_d = ONLY_BY_FALSE_LEMMA.replace("2*q*", "q*")
-    rows = run_catalog(_with_identities(true_d), order=200, bound=500, keys=["D"]).rows
+    rows = run_catalog(_with_identities(true_d, D_PROOF), order=200, bound=500, keys=["D"]).rows
     assert not rows[0].detail.startswith("residue ")
     assert verify_calls == [d]
 
@@ -654,9 +659,9 @@ def test_the_derivation_gives_the_outcome_of_the_series_check(catalog):
     # passes or fails exactly as its own series check says, witness included.
     cases = [(catalog, e) for e in catalog.of_kind("decomposition")]
     for text in BROKEN_Q1_TEXT.values():
-        broken = _with_identities(text)
+        broken = _with_identities(text, Q1_PROOF)
         cases.append((broken, broken.by_key["Q1"]))
-    false = Catalog(parse_catalog_text(FALSE_EQ_2_16 + ONLY_BY_FALSE_LEMMA))
+    false = _catalog(FALSE_EQ_2_16 + ONLY_BY_FALSE_LEMMA, D_PROOF)
     cases.append((false, false.by_key["D"]))
     assert len(cases) == 46
     assert all(entry.proof for _, entry in cases)
@@ -718,9 +723,9 @@ def test_a_lemma_whose_lhs_is_not_a_bare_product_fails_the_row(fault, verify_cal
     lhs, rhs, d_rhs = NOT_A_RULE[fault]
     text = (
         f"[L] kind: identity\nlhs: {lhs}\nrhs: {rhs}\n\n"
-        f"[D] kind: decomposition\nlhs: Y(q)*Y(q^4)^3\nmodulus: 4\nrhs: {d_rhs}\nproof: L q\n"
+        f"[D] kind: decomposition\nlhs: Y(q)*Y(q^4)^3\nmodulus: 4\nrhs: {d_rhs}\n"
     )
-    rows = run_catalog(Catalog(parse_catalog_text(text)), order=200, bound=500).rows
+    rows = run_catalog(_catalog(text, "D: L q"), order=200, bound=500).rows
     assert [(r.key, r.status) for r in rows] == [("D", "fail"), ("L", "pass")]
     assert rows[0].detail == "proof step 1: lemma lhs is not a bare product"
     assert verify_calls == []
@@ -739,23 +744,23 @@ def test_a_lemma_whose_lhs_is_not_a_bare_product_fails_the_row(fault, verify_cal
     ids=["unknown-key", "a-decomposition", "two-product-lhs", "no-match", "closed-terms"],
 )
 def test_a_proof_step_that_is_no_lemma_rewrite_fails_the_row(proof, detail, verify_calls):
-    text = Q1_TEXT + f"proof: {proof}\n\n"
-    text += "[two] kind: identity\nlhs: phi(q) + psi(q)\nrhs: psi(q) + phi(q)\n\n"
+    text = Q1_TEXT + "\n[two] kind: identity\nlhs: phi(q) + psi(q)\nrhs: psi(q) + phi(q)\n\n"
     text += "[Q1a] kind: decomposition\nlhs: Y(q)*Y(q^2)*Y(q^4)^2\nmodulus: 2\n"
     text += "rhs: X(q^8)*Y(q^2)*Y(q^4)^2 + q*Y(q^2)*Y(q^4)^3\n"
-    catalog = _with_identities(text)
+    catalog = _with_identities(text, f"Q1: {proof}")
     for order in (200, 3):
         row = run_catalog(catalog, order=order, bound=500, keys=["Q1"]).rows[0]
         assert (row.status, row.detail) == ("fail", detail)
     target = "\n[t] kind: target-sum\nsum: 2*p5+4*p5+p8+p8\nvia: Q1 r1\n"
-    row = run_catalog(_with_identities(text + target), order=200, bound=500, keys=["t"]).rows[0]
+    catalog = _with_identities(text + target, f"Q1: {proof}")
+    row = run_catalog(catalog, order=200, bound=500, keys=["t"]).rows[0]
     assert (row.status, row.detail) == ("fail", f"deriving identity Q1 failed: {detail}")
     assert verify_calls == []
 
 
 def test_an_rhs_shift_must_stay_below_the_order_of_a_replay(verify_calls):
     # Q1's last term has shift 3: order 3 cannot see it, order 4 can.
-    catalog = _with_identities(Q1_TEXT + Q1_PROOF)
+    catalog = _with_identities(Q1_TEXT, Q1_PROOF)
     row = run_catalog(catalog, order=3, bound=500, keys=["Q1"]).rows[0]
     assert (row.status, row.detail) == ("fail", "insufficient order 3 for shift 3")
     assert verify_calls == [catalog.by_key["Q1"].decomposition]
