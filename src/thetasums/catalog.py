@@ -42,11 +42,11 @@ Nothing is checked at load time.
 
 Each kind has one check, which returns (ok, detail); check_entry builds
 the entry's Row from it.  A check reads its sieve answers from the
-polygonal.SieveTable that check_entry is given, and beside each check that
-reads one is the function that asks every question the check may read;
-_CHECKS pairs the two.  run_catalog asks one table for all the selected
-entries, so each distinct question is sieved once.  A Row is an immutable
-namedtuple; CatalogEntry, Catalog and Report are plain records.
+polygonal.SieveTable that check_entry is given.  run_catalog first runs
+each selected check against an asker that puts every question it reads to
+one table and answers it as passing, so each distinct question is sieved
+once.  A Row is an immutable namedtuple; CatalogEntry, Catalog and Report
+are plain records.
 """
 
 from __future__ import annotations
@@ -350,16 +350,6 @@ def _match_claims(
     return None
 
 
-def _ask_decomposition(entry: CatalogEntry, bound: int, sieve: SieveTable) -> None:
-    lhs_sum, rhs_sums = derive_sums(entry.decomposition)
-    sieve.ask_universal(lhs_sum, bound)
-    for s, derived in zip(rhs_sums, derived_bounds(entry.decomposition, bound)):
-        sieve.ask_universal(s, derived)
-    if entry.base is not None:
-        sieve.ask_universal(entry.base, bound)
-        sieve.ask_equal(lhs_sum, entry.base, bound)
-
-
 def _verify_decomposition(entry: CatalogEntry, catalog: Catalog, order: int) -> VerifyOutcome:
     """verify_decomposition of entry, its proof's keys read as single-product identities."""
     steps = []
@@ -405,13 +395,6 @@ def _check_decomposition(
     return True, f"verified to order {order}; transfer certified to bound {bound} (k={d.modulus})"
 
 
-def _ask_equivalence(entry: CatalogEntry, bound: int, sieve: SieveTable) -> None:
-    for left, right in zip(entry.chain, entry.chain[1:]):
-        sieve.ask_equal(left, right, bound)
-    if entry.fields.get("certify") == "members":
-        sieve.ask_universal(entry.chain[0], bound)
-
-
 def _check_equivalence(
     entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> tuple[bool, str]:
@@ -427,10 +410,6 @@ def _check_equivalence(
             return False, f"member {sum_label(entry.chain[0])} missing {gaps[:3]}"
         notes.append(f"all {len(entry.chain)} members certified universal")
     return True, "; ".join(notes)
-
-
-def _ask_target(entry: CatalogEntry, bound: int, sieve: SieveTable) -> None:
-    sieve.ask_universal(entry.target, bound)
 
 
 def _check_base_fact(
@@ -501,25 +480,41 @@ def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
     return f"via {entry.via!r} must name a decomposition or equivalence"
 
 
-# Per kind, the function that asks a SieveTable every question the check
-# may read, whatever the answers to the others (None: the check reads no
-# sieve), and the check.
+# Per kind, its check.  A failing sieve answer may only end a check early
+# or add to its problems, so a check whose answers all pass reads every
+# question it can read.
 _CHECKS = {
-    "identity": (None, _check_identity),
-    "decomposition": (_ask_decomposition, _check_decomposition),
-    "equivalence": (_ask_equivalence, _check_equivalence),
-    "base-fact": (_ask_target, _check_base_fact),
-    "target-sum": (_ask_target, _check_target),
+    "identity": _check_identity,
+    "decomposition": _check_decomposition,
+    "equivalence": _check_equivalence,
+    "base-fact": _check_base_fact,
+    "target-sum": _check_target,
 }
+
+
+class _Asker:
+    """Stands in for a SieveTable in run_catalog's asking pass: it asks table
+    each question a check reads and answers it as passing."""
+
+    def __init__(self, table: SieveTable):
+        self.table = table
+
+    def universal(self, s: PolygonalSum, bound: int) -> tuple[int, ...]:
+        self.table.ask_universal(s, bound)
+        return ()
+
+    def equal(self, s1: PolygonalSum, s2: PolygonalSum, bound: int) -> None:
+        self.table.ask_equal(s1, s2, bound)
 
 
 def check_entry(
     entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
 ) -> Row:
     """Check one entry of a kind in FIELDS, reading its sieve answers from
-    sieve, which must have been asked them and answered, as run_catalog does."""
-    _ask, check = _CHECKS[entry.kind]
-    ok, detail = check(entry, order, bound, catalog, sieve)
+    sieve, which must have been asked every question the check reads and
+    answered.  run_catalog learns those questions by running the check once
+    against an _Asker of the table first."""
+    ok, detail = _CHECKS[entry.kind](entry, order, bound, catalog, sieve)
     return Row(entry.key, entry.kind, "pass" if ok else "fail", detail)
 
 
@@ -568,8 +563,10 @@ def run_catalog(
     An unknown key or kind, or a selection of no entry, is a CatalogError.
 
     Every sieve question of the selected entries is asked of one SieveTable
-    first and answered in one planned walk, each distinct question once,
-    before any row is checked; the rows read their answers from it.  The
+    first, by running each entry's check against an _Asker of it, and
+    answered in one planned walk, each distinct question once; then each
+    row is checked against the table.  The series verdicts of the asking
+    pass are cached, so the second pass repeats no series work.  The
     walk folds into a store of its own and frees each mask after its last
     use, so the library store polygonal._masks is neither read nor written.
     """
@@ -590,8 +587,8 @@ def run_catalog(
             raise CatalogError(f"[{e.key}]: unknown kind {e.kind!r}")
     selected = sorted(selected, key=lambda e: e.key)
     sieve = SieveTable()
+    asker = _Asker(sieve)
     for e in selected:
-        if (ask := _CHECKS[e.kind][0]) is not None:
-            ask(e, bound, sieve)
+        _CHECKS[e.kind](e, order, bound, catalog, asker)
     sieve.answer()
     return Report(order, bound, [check_entry(e, order, bound, catalog, sieve) for e in selected])

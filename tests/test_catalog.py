@@ -18,7 +18,7 @@ from thetasums.catalog import (
     parse_catalog_text,
     run_catalog,
 )
-from thetasums.polygonal import QuadTerm, sum_families
+from thetasums.polygonal import QuadTerm, SieveTable, sum_families
 from thetasums.transfer import (
     derive_sums,
     verify_decomposition,
@@ -907,6 +907,41 @@ def test_failing_rows_keep_their_exact_details(broken_catalog):
     ]
     row = run_catalog(broken_catalog, order=3, bound=1000, keys=["Q1"]).rows[0]
     assert (row.status, row.detail) == ("fail", "insufficient order 3 for shift 3")
+
+
+class FailingTable:
+    """Answers every sieve question as failing and records the questions read."""
+
+    def __init__(self):
+        self.read = set()
+
+    def universal(self, s, bound):
+        self.read.add((sum_families(s), bound))
+        return (1,)
+
+    def equal(self, s1, s2, bound):
+        self.read.add(SieveTable._equal_key(s1, s2, bound))
+        return 1
+
+
+@pytest.mark.parametrize("which", ["packaged", "broken"])
+def test_a_failing_answer_makes_no_check_read_past_the_asking_pass(
+    catalog, broken_catalog, which
+):
+    # run_catalog asks what each check reads when every answer passes, so
+    # a check may read no other question when its answers fail.
+    chosen = {"packaged": catalog, "broken": broken_catalog}[which]
+    order, bound = 1000, 1000
+    asked = 0
+    for e in chosen.entries:
+        check = catalog_module._CHECKS[e.kind]
+        table = SieveTable()
+        check(e, order, bound, chosen, catalog_module._Asker(table))
+        failing = FailingTable()
+        check(e, order, bound, chosen, failing)
+        assert failing.read <= set(table.questions), e.key
+        asked += len(table.questions)
+    assert asked > len(chosen) / 2
 
 
 def test_an_entry_of_a_kind_outside_fields_has_no_check():

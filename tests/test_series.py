@@ -98,6 +98,14 @@ def test_equal_upto():
         s.equal_upto(t, 11)
 
 
+def test_a_comparison_past_either_order_is_refused():
+    short, long = Series([1, 2, 3], 3), Series([1, 2, 3, 4, 5], 5)
+    assert short.equal_upto(long, 3) == (True, None)
+    for left, right in ((short, long), (long, short)):
+        with pytest.raises(ValueError, match="exceeds a series order"):
+            left.equal_upto(right, 4)
+
+
 def test_ring_axioms_up_to_truncation():
     rng = random.Random(777)
     for _ in range(8):
@@ -118,6 +126,23 @@ def test_scale_and_exactness():
     s = Series([big, -big], 3)
     assert s.scale(big).coeffs == (big * big, -big * big, 0)
     assert s.mul(s).coeffs == (big * big, -2 * big * big, big * big)
+
+
+def test_scale_by_zero_is_zero_and_by_one_is_the_series():
+    s = Series([3, -1, 4], 3)
+    assert s.scale(0) == Series.zero(3)
+    assert s.scale(1) == s
+    assert s.scale(-2).coeffs == (-6, 2, -8)
+
+
+def test_a_series_of_order_one_is_the_least():
+    assert Series.zero(1).coeffs == (0,)
+    assert atom_series(ThetaAtom(1, 1), 1).coeffs == (1,)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="must be positive"):
+            Series.zero(order)
+        with pytest.raises(ValueError, match="must be positive"):
+            atom_series(ThetaAtom(1, 1), order)
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, "3"], ids=["float", "integral-float", "str"])
