@@ -73,9 +73,10 @@ class Series:
     def mul(self, other: Series) -> Series:
         """Cauchy product truncated to the smaller order.
 
-        Iterates nonzero terms only, outer loop over the sparser factor;
-        theta factors have O(sqrt(order)) support so products stay cheap
-        even though results become dense.
+        Iterates nonzero terms only, outer loop over the sparser factor.
+        This is library arithmetic and the test oracle's route to a theta
+        product; the series check does not use it, since
+        theta.expression_series expands products from exponent lists.
         """
         order = min(self.order, other.order)
         na = [(e, c) for e, c in enumerate(self._coeffs[:order]) if c]
@@ -105,15 +106,16 @@ class Series:
         """Compare coefficients for all exponents < n.
 
         Returns (True, None) on agreement, else (False, (e, left, right))
-        for the least disagreeing exponent e.
+        for the least disagreeing exponent e.  The prefixes are compared
+        as lists first; only a mismatch is walked for its exponent.
         """
         if n > self.order or n > other.order:
             raise ValueError(f"comparison up to {n} exceeds a series order")
         a, b = self._coeffs, other._coeffs
-        for e in range(n):
-            if a[e] != b[e]:
-                return False, (e, a[e], b[e])
-        return True, None
+        if a[:n] == b[:n]:
+            return True, None
+        e = next(e for e in range(n) if a[e] != b[e])
+        return False, (e, a[e], b[e])
 
     def __eq__(self, other):
         if not isinstance(other, Series):

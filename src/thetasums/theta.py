@@ -10,7 +10,10 @@ arguments q^i, q^j.  The named shapes are
     Y(q^n)   = (n, 5n)     exponents n*x(3x-2)  (generalized octagonal)
 
 Expressions are formal integer-weighted sums of q-power-shifted products
-of atoms; they evaluate exactly into Series.  The two rewriting rules used
+of atoms; they evaluate exactly into Series.  expression_series expands
+them straight from the atoms' exponent lists (atom_exponents) into one
+coefficient list, with no Series arithmetic; product_series is that
+expansion of one bare term.  The two rewriting rules used
 throughout are symmetry (i, j) = (j, i) and the unit-argument doubling
 (0, j) -> 2 * (j, 3j).
 
@@ -23,7 +26,7 @@ ThetaAtom(1, 3) == (1, 3).
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import isqrt
 
 from .series import Series
@@ -145,19 +148,50 @@ def atom_series(atom: ThetaAtom, order: int) -> Series:
 
 def product_series(atoms: tuple[ThetaAtom, ...], order: int) -> Series:
     """Expansion of a plain product of atoms (no shift, no multiplier)."""
-    result = atom_series(atoms[0], order)
-    for a in atoms[1:]:
-        result = result.mul(atom_series(a, order))
-    return result
+    return expression_series(ThetaExpression((ProductTerm(1, 0, atoms),)), order)
 
 
 def expression_series(expr: ThetaExpression, order: int) -> Series:
-    """Exact expansion of the full formal sum."""
-    total = Series.zero(order)
+    """Exact expansion of the full formal sum, truncated at order.
+
+    Every term adds into one coefficient list.  Each atom of a term is its
+    sorted exponent list, cut where the term's shift reaches the order.
+    All lists but the longest fold into (exponent, count) pairs, the
+    multiplier included; those pairs are then spread over the longest
+    list at the shift.
+    """
+    if order < 1:
+        raise ValueError("series order must be positive")
+    out = [0] * order
     for term in expr.terms:
-        product = product_series(term.atoms, order)
-        total = total.add(product.scale(term.multiplier).shift(term.shift))
-    return total
+        limit = order - 1 - term.shift
+        if limit < 0:
+            continue
+        lists = sorted(
+            (sorted(atom_exponents(a.i, a.j, limit)) for a in term.atoms), key=len
+        )
+        longest = lists.pop()
+        m = term.multiplier
+        pairs = [(0, m)]
+        if lists:
+            pairs = [(e, m * len(list(run))) for e, run in groupby(lists[0])]
+        for exponents in lists[1:]:
+            coeffs = [0] * (limit + 1)
+            _scatter(coeffs, 0, pairs, exponents, limit)
+            pairs = [(e, c) for e, c in enumerate(coeffs) if c]
+        _scatter(out, term.shift, pairs, longest, limit)
+    return Series._wrap(out)
+
+
+def _scatter(out: list[int], at: int, pairs, exponents: list[int], limit: int) -> None:
+    """Add c at out[at + e + x] for each pair (e, c) and each x of the
+    sorted exponents with e + x <= limit."""
+    for e, c in pairs:
+        start, cut = at + e, limit - e
+        for x in exponents:
+            if x > cut:
+                break
+            out[start + x] += c
 
 
 def _tri(n: int) -> int:

@@ -3,6 +3,9 @@
 Everything here recomputes results by a second route (schoolbook
 convolution, direct nested loops over integer variables, theta products)
 so the fast paths in the package are checked against an independent one.
+dense_expression_series expands a theta expression through dense Series
+arithmetic (atom_series, Series.mul, scale, shift and add), a second
+route to theta.expression_series.
 The sieve, representation_series and brute_counts/brute_missing are the
 three legs of the sieve/series/loops oracle; top_aligned reads a mask of
 bitmask_sumset in the sieve's bit order by string reversal, and
@@ -24,7 +27,13 @@ from math import gcd
 from thetasums.dsl import ParseError, SourceSpan
 from thetasums.polygonal import PolygonalSum, QuadTerm
 from thetasums.series import Series
-from thetasums.theta import ThetaAtom, canonicalize, product_series
+from thetasums.theta import (
+    ThetaAtom,
+    ThetaExpression,
+    atom_series,
+    canonicalize,
+    product_series,
+)
 from thetasums.transfer import _merge, _rewrite
 
 
@@ -37,6 +46,21 @@ def schoolbook_mul(a: Series, b: Series) -> Series:
         for j in range(order - i):
             out[i + j] += ai * b[j]
     return Series(out, order)
+
+
+def dense_expression_series(expr: ThetaExpression, order: int) -> Series:
+    """theta.expression_series from Series arithmetic over full-length lists.
+
+    Each term's product is a chain of Series.mul over atom_series, scaled
+    by the multiplier, shifted and added to Series.zero.
+    """
+    total = Series.zero(order)
+    for term in expr.terms:
+        product = atom_series(term.atoms[0], order)
+        for a in term.atoms[1:]:
+            product = product.mul(atom_series(a, order))
+        total = total.add(product.scale(term.multiplier).shift(term.shift))
+    return total
 
 
 def representation_series(s: PolygonalSum, bound: int) -> Series:

@@ -26,6 +26,37 @@ def test_expand_examples(capsys):
     assert out.strip() == "0:1 1:1 2:1 5:1 7:1"
 
 
+@pytest.mark.parametrize(
+    "expression, order, human, report",
+    [
+        (
+            "0",
+            "10",
+            "\n",
+            '{"schema": "thetasums-report/1", "config": {"order": 10}, "expression": "0", '
+            '"coefficients": []}\n',
+        ),
+        (
+            "3*q^2*phi(q)^2*f(q^0, q^3)",
+            "16",
+            "2:6 3:24 4:24 5:6 6:48 7:72 9:24 10:72 11:30 12:72 13:48 14:24 15:120\n",
+            '{"schema": "thetasums-report/1", "config": {"order": 16}, '
+            '"expression": "3*q^2*phi(q)^2*f(q^0, q^3)", "coefficients": '
+            "[[2, 6], [3, 24], [4, 24], [5, 6], [6, 48], [7, 72], [9, 24], [10, 72], "
+            "[11, 30], [12, 72], [13, 48], [14, 24], [15, 120]]}\n",
+        ),
+    ],
+    ids=["zero", "scaled-shifted-power-unit-argument"],
+)
+def test_expand_output_is_pinned(capsys, expression, order, human, report):
+    assert run(capsys, "expand", expression, "--order", order) == (0, human, "")
+    assert run(capsys, "expand", expression, "--order", order, "--format", "report") == (
+        0,
+        report,
+        "",
+    )
+
+
 def test_expand_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "expand", "phi(q")
     assert code == 2

@@ -98,6 +98,23 @@ def test_equal_upto():
         s.equal_upto(t, 11)
 
 
+def test_equal_upto_returns_the_witness_of_a_single_difference():
+    rng = random.Random(4000)
+    n = 4000
+    base = [rng.randint(-9, 9) for _ in range(n + 5)]
+    same = Series(base)
+    for e in (0, n - 1, rng.randint(1, n - 2)):
+        changed = list(base)
+        changed[e] += 7
+        other = Series(changed)
+        assert same.equal_upto(other, n) == (False, (e, base[e], base[e] + 7))
+        assert other.equal_upto(same, n) == (False, (e, base[e] + 7, base[e]))
+    for e in (n, n + 4):
+        changed = list(base)
+        changed[e] -= 1
+        assert same.equal_upto(Series(changed), n) == (True, None)
+
+
 def test_a_comparison_past_either_order_is_refused():
     short, long = Series([1, 2, 3], 3), Series([1, 2, 3, 4, 5], 5)
     assert short.equal_upto(long, 3) == (True, None)

@@ -19,7 +19,7 @@ from thetasums.theta import (
     product_split,
 )
 
-from oracles import stepped_atom_exponents
+from oracles import dense_expression_series, stepped_atom_exponents
 
 
 def test_atom_validation():
@@ -90,6 +90,40 @@ def test_expression_series_empty_and_singleton():
     assert expression_series(ThetaExpression(()), 6).coeffs == (0,) * 6
     expr = ThetaExpression((ProductTerm(1, 0, (ThetaAtom(1, 1),)),))
     assert expression_series(expr, 12).coeffs == atom_series(ThetaAtom(1, 1), 12).coeffs
+
+
+_ATOMS = st.one_of(
+    st.sampled_from([ThetaAtom(1, 1), ThetaAtom(1, 3), ThetaAtom(0, 1), ThetaAtom(0, 3)]),
+    st.builds(ThetaAtom, st.integers(0, 6), st.integers(1, 12)),
+)
+_TERMS = st.builds(
+    ProductTerm,
+    st.integers(1, 5),
+    st.integers(0, 320),
+    st.lists(_ATOMS, min_size=1, max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TERMS, max_size=3).map(tuple), st.integers(1, 300))
+def test_expression_series_matches_dense_series_arithmetic(terms, order):
+    # Unit-argument and repeated atoms, multipliers, and shifts up to past
+    # the order, against products, scales, shifts and sums of full lists.
+    expr = ThetaExpression(terms)
+    assert expression_series(expr, order) == dense_expression_series(expr, order)
+
+
+def test_packaged_identity_sides_match_dense_series_arithmetic(catalog):
+    sides = [side for e in catalog.of_kind("identity") for side in (e.lhs, e.rhs)]
+    assert len(sides) == 26
+    for expr in sides:
+        assert expression_series(expr, 4000).coeffs == dense_expression_series(expr, 4000).coeffs
+
+
+def test_expression_series_needs_a_positive_order():
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="^series order must be positive$"):
+            expression_series(parse_theta_expression("phi(q)"), order)
 
 
 def test_expression_series_two_square_dissection():
