@@ -41,19 +41,21 @@ passes, each rhs sum up to the largest m with k*m + shift <= bound.
 Nothing is checked at load time.
 
 Each kind has one check, which returns (ok, detail); check_entry builds
-the entry's Row from it.  A check reads its sieve answers from the
-polygonal.SieveTable that check_entry is given.  run_catalog first runs
+the entry's Row from it.  A check reads its run's record, a _Run: the
+catalog, order and bound, the sieve answers and one memo per kind of
+series work, so each distinct identity, decomposition and sum list is
+worked out once per run and none outlives it.  run_catalog first runs
 each selected check against an asker that puts every question it reads to
-one table and answers it as passing, so each distinct question is sieved
-once.  A Row is an immutable namedtuple; CatalogEntry, Catalog and Report
-are plain records.
+one polygonal.SieveTable and answers it as passing, so each distinct
+question is sieved once.  A Row is an immutable namedtuple; CatalogEntry,
+Catalog and Report are plain records.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -329,10 +331,8 @@ class Row(namedtuple("Row", "key kind status detail")):
         return self.status == "pass"
 
 
-def _check_identity(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
-) -> tuple[bool, str]:
-    outcome = verify_identity(entry.lhs, entry.rhs, order)
+def _check_identity(entry: CatalogEntry, run: _Run) -> tuple[bool, str]:
+    outcome = run.identity(entry.lhs, entry.rhs, run.order)
     return outcome.ok, outcome.detail
 
 
@@ -350,90 +350,83 @@ def _match_claims(
     return None
 
 
-def _verify_decomposition(entry: CatalogEntry, catalog: Catalog, order: int) -> VerifyOutcome:
+def _verify_decomposition(entry: CatalogEntry, run: _Run) -> VerifyOutcome:
     """verify_decomposition of entry, its proof's keys read as single-product identities."""
     steps = []
     for step, (key, n) in enumerate(entry.proof, start=1):
-        lemma = catalog.by_key.get(key)
+        lemma = run.catalog.by_key.get(key)
         if lemma is None or lemma.kind != "identity" or len(lemma.lhs.terms) != 1:
             detail = f"proof step {step}: {key!r} is not a single-product identity"
             return VerifyOutcome(False, None, detail)
         steps.append((lemma.lhs.terms[0], lemma.rhs, n))
-    return verify_decomposition(entry.decomposition, order, tuple(steps))
+    return run.decomposition(entry.decomposition, run.order, tuple(steps), run.identity)
 
 
-def _check_decomposition(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
-) -> tuple[bool, str]:
+def _check_decomposition(entry: CatalogEntry, run: _Run) -> tuple[bool, str]:
     d = entry.decomposition
-    outcome = _verify_decomposition(entry, catalog, order)
+    outcome = _verify_decomposition(entry, run)
     if not outcome.ok:
         return False, outcome.detail
-    lhs_sum, rhs_sums = derive_sums(d)
+    lhs_sum, rhs_sums = run.sums(d)
     problems = []
     if entry.claims:
         mismatch = _match_claims(rhs_sums, entry.claims)
         if mismatch:
             problems.append(mismatch)
-    lhs_gaps = sieve.universal(lhs_sum, bound)
+    lhs_gaps = run.sieve.universal(lhs_sum, run.bound)
     if lhs_gaps:
         problems.append(f"lhs sum {sum_label(lhs_sum)} missing {lhs_gaps[:3]}")
     if entry.base is not None:
-        if sieve.universal(entry.base, bound):
+        if run.sieve.universal(entry.base, run.bound):
             problems.append(f"base {sum_label(entry.base)} not certified")
-        witness = sieve.equal(lhs_sum, entry.base, bound)
+        witness = run.sieve.equal(lhs_sum, entry.base, run.bound)
         if witness is not None:
             problems.append(f"lhs and base value sets differ at {witness}")
     if not lhs_gaps:
         # Only a certified lhs transfers: each rhs sum is certified up to
         # its derived bound.
-        for s, derived in zip(rhs_sums, derived_bounds(d, bound)):
-            if gaps := sieve.universal(s, derived):
+        for s, derived in zip(rhs_sums, derived_bounds(d, run.bound)):
+            if gaps := run.sieve.universal(s, derived):
                 problems.append(f"rhs {sum_label(s)} missing {gaps[:3]} up to {derived}")
     if problems:
         return False, "; ".join(problems)
-    return True, f"verified to order {order}; transfer certified to bound {bound} (k={d.modulus})"
+    detail = f"transfer certified to bound {run.bound} (k={d.modulus})"
+    return True, f"verified to order {run.order}; {detail}"
 
 
-def _check_equivalence(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
-) -> tuple[bool, str]:
+def _check_equivalence(entry: CatalogEntry, run: _Run) -> tuple[bool, str]:
     for left, right in zip(entry.chain, entry.chain[1:]):
-        witness = sieve.equal(left, right, bound)
+        witness = run.sieve.equal(left, right, run.bound)
         if witness is not None:
             return False, f"{sum_label(left)} vs {sum_label(right)}: differ at {witness}"
-    notes = [f"{len(entry.chain) - 1} link(s) hold to bound {bound}"]
+    notes = [f"{len(entry.chain) - 1} link(s) hold to bound {run.bound}"]
     if entry.fields.get("certify") == "members":
         # The links hold, so every member has the first member's values up
         # to the bound: certifying the first certifies them all.
-        if gaps := sieve.universal(entry.chain[0], bound):
+        if gaps := run.sieve.universal(entry.chain[0], run.bound):
             return False, f"member {sum_label(entry.chain[0])} missing {gaps[:3]}"
         notes.append(f"all {len(entry.chain)} members certified universal")
     return True, "; ".join(notes)
 
 
-def _check_base_fact(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
-) -> tuple[bool, str]:
-    if gaps := sieve.universal(entry.target, bound):
-        return False, f"missing {gaps} up to {bound}"
-    return True, f"certified universal up to {bound}"
+def _check_base_fact(entry: CatalogEntry, run: _Run) -> tuple[bool, str]:
+    if gaps := run.sieve.universal(entry.target, run.bound):
+        return False, f"missing {gaps} up to {run.bound}"
+    return True, f"certified universal up to {run.bound}"
 
 
-def _check_target(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
-) -> tuple[bool, str]:
-    ok, detail = _check_base_fact(entry, order, bound, catalog, sieve)
+def _check_target(entry: CatalogEntry, run: _Run) -> tuple[bool, str]:
+    ok, detail = _check_base_fact(entry, run)
     if not ok:
         return ok, detail
     notes = [detail]
     if entry.via:
-        err = _check_via(entry, catalog, order)
+        err = _check_via(entry, run)
         if err:
             return False, err
         notes.append(f"via {entry.via}")
     if entry.anchor is not None or not entry.via:
-        hit = catalog.theorem_anchors.get(sum_families(entry.target))
+        hit = run.catalog.theorem_anchors.get(sum_families(entry.target))
         if entry.anchor == "none":
             if hit:
                 return False, f"unexpected theorem anchor {hit}"
@@ -445,24 +438,24 @@ def _check_target(
     return True, "; ".join(notes)
 
 
-def _check_via(entry: CatalogEntry, catalog: Catalog, order: int) -> str | None:
+def _check_via(entry: CatalogEntry, run: _Run) -> str | None:
     """Validate a 'via: KEY [rN]' annotation against the deriving entry.
 
-    A deriving decomposition is checked again at this order, its proof
-    replayed or else series-checked, so a theorem reproduction is
+    A deriving decomposition is checked at this order, once per run, its
+    proof replayed or else series-checked, so a theorem reproduction is
     self-contained even when run key-by-key.
     """
     key = entry.via.split()[0]
-    source = catalog.by_key.get(key)
+    source = run.catalog.by_key.get(key)
     if source is None:
         return f"via references unknown key {key!r}"
     if source.kind == "decomposition":
         if entry.residue is None:
             return f"via {entry.via!r} needs a residue term like 'r2'"
-        outcome = _verify_decomposition(source, catalog, order)
+        outcome = _verify_decomposition(source, run)
         if not outcome.ok:
             return f"deriving identity {key} failed: {outcome.detail}"
-        _lhs_sum, rhs_sums = derive_sums(source.decomposition)
+        _lhs_sum, rhs_sums = run.sums(source.decomposition)
         if not 1 <= entry.residue <= len(rhs_sums):
             return f"via {entry.via!r}: no residue term {entry.residue}"
         derived = rhs_sums[entry.residue - 1]
@@ -507,14 +500,24 @@ class _Asker:
         self.table.ask_equal(s1, s2, bound)
 
 
-def check_entry(
-    entry: CatalogEntry, order: int, bound: int, catalog: Catalog, sieve: SieveTable
-) -> Row:
+class _Run:
+    """One run_catalog call: what its checks read, and one memo per kind of
+    series work they share, kept as long as the run.  sieve is the _Asker
+    of the asking pass, then the answered SieveTable."""
+
+    def __init__(self, catalog: Catalog, order: int, bound: int, sieve: _Asker | SieveTable):
+        self.catalog, self.order, self.bound, self.sieve = catalog, order, bound, sieve
+        self.identity = cache(verify_identity)  # lemma steps are checked through it too
+        self.decomposition = cache(verify_decomposition)
+        self.sums = cache(derive_sums)
+
+
+def check_entry(entry: CatalogEntry, run: _Run) -> Row:
     """Check one entry of a kind in FIELDS, reading its sieve answers from
-    sieve, which must have been asked every question the check reads and
-    answered.  run_catalog learns those questions by running the check once
-    against an _Asker of the table first."""
-    ok, detail = _CHECKS[entry.kind](entry, order, bound, catalog, sieve)
+    run.sieve, which must have been asked every question the check reads
+    and answered.  run_catalog learns those questions by running the check
+    once against an _Asker of the table first."""
+    ok, detail = _CHECKS[entry.kind](entry, run)
     return Row(entry.key, entry.kind, "pass" if ok else "fail", detail)
 
 
@@ -565,10 +568,11 @@ def run_catalog(
     Every sieve question of the selected entries is asked of one SieveTable
     first, by running each entry's check against an _Asker of it, and
     answered in one planned walk, each distinct question once; then each
-    row is checked against the table.  The series verdicts of the asking
-    pass are cached, so the second pass repeats no series work.  The
-    walk folds into a store of its own and frees each mask after its last
-    use, so the library store polygonal._masks is neither read nor written.
+    row is checked against the table.  Both passes share one _Run, whose
+    memos make each distinct identity and decomposition one series check
+    of this run, not of the next.  The walk folds into a store of its own
+    and frees each mask after its last use, so the library store
+    polygonal._masks is neither read nor written.
     """
     selected = catalog.entries
     if kinds is not None:
@@ -586,9 +590,10 @@ def run_catalog(
         if e.kind not in FIELDS:
             raise CatalogError(f"[{e.key}]: unknown kind {e.kind!r}")
     selected = sorted(selected, key=lambda e: e.key)
-    sieve = SieveTable()
-    asker = _Asker(sieve)
+    table = SieveTable()
+    run = _Run(catalog, order, bound, _Asker(table))
     for e in selected:
-        _CHECKS[e.kind](e, order, bound, catalog, asker)
-    sieve.answer()
-    return Report(order, bound, [check_entry(e, order, bound, catalog, sieve) for e in selected])
+        _CHECKS[e.kind](e, run)
+    table.answer()
+    run.sieve = table
+    return Report(order, bound, [check_entry(e, run) for e in selected])

@@ -13,9 +13,9 @@ Expressions are formal integer-weighted sums of q-power-shifted products
 of atoms; they evaluate exactly into Series.  expression_series expands
 them straight from the atoms' exponent lists (atom_exponents) into one
 coefficient list, with no Series arithmetic; product_series is that
-expansion of one bare term.  The two rewriting rules used
-throughout are symmetry (i, j) = (j, i) and the unit-argument doubling
-(0, j) -> 2 * (j, 3j).
+expansion of one bare term, atom_series of one atom.  The two rewriting
+rules used throughout are symmetry (i, j) = (j, i) and the unit-argument
+doubling (0, j) -> 2 * (j, 3j).
 
 Atoms, product terms and expressions are immutable namedtuples whose
 constructors validate (_make, and so _replace, call the constructor): they
@@ -138,12 +138,7 @@ def atom_exponents(i: int, j: int, limit: int) -> list[int]:
 
 def atom_series(atom: ThetaAtom, order: int) -> Series:
     """Exact expansion of the atom, truncated at order."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    coeffs = [0] * order
-    for e in atom_exponents(atom.i, atom.j, order - 1):
-        coeffs[e] += 1
-    return Series._wrap(coeffs)
+    return product_series((atom,), order)
 
 
 def product_series(atoms: tuple[ThetaAtom, ...], order: int) -> Series:

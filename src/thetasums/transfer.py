@@ -30,7 +30,6 @@ structure described above.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
 
 from .polygonal import PolygonalSum, QuadTerm
 from .theta import (
@@ -87,7 +86,6 @@ class VerifyOutcome(
     __slots__ = ()
 
 
-@lru_cache(maxsize=256)
 def verify_identity(
     lhs: ThetaExpression, rhs: ThetaExpression, order: int
 ) -> VerifyOutcome:
@@ -122,12 +120,15 @@ def _series_check(d: Decomposition, order: int) -> VerifyOutcome:
     return out._replace(detail=detail)
 
 
-@lru_cache(maxsize=256)
-def verify_decomposition(d: Decomposition, order: int, proof: tuple = ()) -> VerifyOutcome:
+def verify_decomposition(
+    d: Decomposition, order: int, proof: tuple = (), verify=verify_identity
+) -> VerifyOutcome:
     """d checked to order: replayed from a proof whose lemmas hold there, else by _series_check.
 
     proof holds (lhs, rhs, n) steps, lhs a ProductTerm and rhs a
-    ThetaExpression, applied in order by _rewrite.
+    ThetaExpression, applied in order by _rewrite.  verify checks each
+    lemma: verify_identity, or a memo of it such as a catalog run's, through
+    which a lemma step and the lemma's identity row share one expansion.
     """
     state = _merge([d.lhs])
     for step, (lhs, rhs, n) in enumerate(proof, start=1):
@@ -141,7 +142,7 @@ def verify_decomposition(d: Decomposition, order: int, proof: tuple = ()) -> Ver
         proof
         and state == _merge(d.rhs)
         and max(t.shift for t in d.rhs) < order
-        and all(verify_identity(ThetaExpression((lhs,)), rhs, order).ok for lhs, rhs, _n in proof)
+        and all(verify(ThetaExpression((lhs,)), rhs, order).ok for lhs, rhs, _n in proof)
     )
     if not derived:
         out = _series_check(d, order)
@@ -185,13 +186,12 @@ def _rewrite(state, lhs_atoms, rhs_terms, n: int, k: int):
     return _merge(out) if hit else None
 
 
-@lru_cache(maxsize=256)
 def derive_sums(d: Decomposition) -> tuple[PolygonalSum, tuple[PolygonalSum, ...]]:
     """The lhs sum and one sum per rhs term, read off the atoms.
 
     Multipliers play no role; rhs atom exponents are divided by the modulus.
-    A catalog run reads each decomposition's sums several times: when it
-    asks the sieve, in the row's check and in each 'via' that names it.
+    A catalog run needs each decomposition's sums several times (asking the
+    sieve, in the row's check, in each 'via' naming it) and keeps a memo.
     """
 
     def read(atoms, k):

@@ -1,6 +1,7 @@
 import pytest
 
 from thetasums import catalog as catalog_module
+from thetasums import transfer
 from thetasums.catalog import load_catalog
 from thetasums.polygonal import SieveTable
 
@@ -40,3 +41,17 @@ def sieve_tables(monkeypatch):
 
     monkeypatch.setattr(catalog_module, "SieveTable", Recorded)
     return tables
+
+
+@pytest.fixture
+def series_checks(monkeypatch):
+    """Decompositions that reach the series check, in call order."""
+    calls = []
+    series_check = transfer._series_check
+
+    def spy(d, order):
+        calls.append(d)
+        return series_check(d, order)
+
+    monkeypatch.setattr(transfer, "_series_check", spy)
+    return calls

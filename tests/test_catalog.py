@@ -1,5 +1,5 @@
 import tracemalloc
-from functools import lru_cache
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,11 +19,7 @@ from thetasums.catalog import (
     run_catalog,
 )
 from thetasums.polygonal import QuadTerm, SieveTable, sum_families
-from thetasums.transfer import (
-    derive_sums,
-    verify_decomposition,
-    verify_identity,
-)
+from thetasums.transfer import derive_sums, verify_decomposition
 
 from oracles import derive_decomposition, lemma_rules
 
@@ -569,25 +565,10 @@ def test_a_planned_run_gives_the_rows_of_one_entry_at_a_time(
     ]
 
 
-@pytest.fixture
-def verify_calls(monkeypatch):
-    """Decompositions that reach the series check, in call order."""
-    calls = []
-    series_check = transfer._series_check
-
-    def spy(d, order):
-        calls.append(d)
-        return series_check(d, order)
-
-    verify_decomposition.cache_clear()
-    monkeypatch.setattr(transfer, "_series_check", spy)
-    return calls
-
-
-def test_packaged_decompositions_pass_without_the_series_check(catalog, verify_calls):
+def test_packaged_decompositions_pass_without_the_series_check(catalog, series_checks):
     report = run_catalog(catalog, order=300, bound=600, kinds=("decomposition",))
     assert report.ok and len(report.rows) == 42
-    assert verify_calls == []
+    assert series_checks == []
     assert all(r.detail.startswith("verified to order 300;") for r in report.rows)
 
 
@@ -609,19 +590,19 @@ BROKEN_Q1_TEXT = {
 
 @pytest.mark.parametrize("fault", sorted(BROKEN_Q1_TEXT))
 def test_a_wrong_rhs_has_no_derivation_and_fails_with_the_series_witness(
-    fault, verify_calls
+    fault, series_checks
 ):
     assert BROKEN_Q1_TEXT[fault] != Q1_TEXT
     catalog = _with_identities(BROKEN_Q1_TEXT[fault], Q1_PROOF)
     d = catalog.by_key["Q1"].decomposition
     assert derive_decomposition(d, lemma_rules(catalog)) is None
     reference = verify_decomposition(d, 200)
-    verify_calls.clear()
+    series_checks.clear()
     row = run_catalog(catalog, order=200, bound=500, keys=["Q1"]).rows[0]
     assert row.status == "fail"
     assert row.detail == reference.detail
     assert row.detail.startswith("residue ")
-    assert verify_calls == [d]
+    assert series_checks == [d]
 
 
 FALSE_EQ_2_16 = (
@@ -634,24 +615,24 @@ ONLY_BY_FALSE_LEMMA = (
 D_PROOF = "D: eq-2.16 q"
 
 
-def test_a_failing_identity_is_not_used_as_a_lemma(verify_calls):
+def test_a_failing_identity_is_not_used_as_a_lemma(series_checks):
     catalog = _catalog(FALSE_EQ_2_16 + ONLY_BY_FALSE_LEMMA, D_PROOF)
     false = catalog.by_key["eq-2.16"]
     d = catalog.by_key["D"].decomposition
     # D does follow from the false lemma, so only the lemma's check stops it.
     assert derive_decomposition(d, lemma_rules(catalog)) == catalog.by_key["D"].proof
     reference = verify_decomposition(d, 200)
-    verify_calls.clear()
+    series_checks.clear()
     rows = run_catalog(catalog, order=200, bound=500).rows
     assert [(r.key, r.status) for r in rows] == [("D", "fail"), ("eq-2.16", "fail")]
     assert rows[0].detail == reference.detail
-    assert verify_calls == [d]
+    assert series_checks == [d]
     # With the true (2.16) the same lhs derives the true rhs, with no
     # series check.
     true_d = ONLY_BY_FALSE_LEMMA.replace("2*q*", "q*")
     rows = run_catalog(_with_identities(true_d, D_PROOF), order=200, bound=500, keys=["D"]).rows
     assert not rows[0].detail.startswith("residue ")
-    assert verify_calls == [d]
+    assert series_checks == [d]
 
 
 def test_the_derivation_gives_the_outcome_of_the_series_check(catalog):
@@ -665,48 +646,89 @@ def test_the_derivation_gives_the_outcome_of_the_series_check(catalog):
     cases.append((false, false.by_key["D"]))
     assert len(cases) == 46
     assert all(entry.proof for _, entry in cases)
-    verify_decomposition.cache_clear()
     for source, entry in cases:
         d = entry.decomposition
-        checked = catalog_module._verify_decomposition(entry, source, 300)
+        run = catalog_module._Run(source, 300, 0, None)
+        checked = catalog_module._verify_decomposition(entry, run)
         assert checked == verify_decomposition(d, 300), d
 
 
-def test_q1_alone_passes_through_the_series_check(verify_calls):
+def test_q1_alone_passes_through_the_series_check(series_checks):
     catalog = Catalog(parse_catalog_text(Q1_TEXT))
     row = run_catalog(catalog, order=160, bound=800).rows[0]
     assert (row.key, row.status) == ("Q1", "pass")
     assert row.detail == "verified to order 160; transfer certified to bound 800 (k=4)"
-    assert verify_calls == [catalog.by_key["Q1"].decomposition]
+    assert series_checks == [catalog.by_key["Q1"].decomposition]
 
 
-def test_a_row_checks_only_the_lemmas_its_derivation_uses(catalog):
-    verify_decomposition.cache_clear()
-    verify_identity.cache_clear()
+@pytest.fixture
+def identity_checks(monkeypatch):
+    """(lhs, rhs, order) of each identity a run series-checks, lemmas included."""
+    calls = []
+    check = catalog_module.verify_identity
+
+    def spy(lhs, rhs, order):
+        calls.append((lhs, rhs, order))
+        return check(lhs, rhs, order)
+
+    monkeypatch.setattr(catalog_module, "verify_identity", spy)
+    return calls
+
+
+def test_a_row_checks_only_the_lemmas_its_derivation_uses(catalog, identity_checks):
     row = run_catalog(catalog, order=300, bound=600, keys=["Q1"]).rows[0]
     assert row.detail == "verified to order 300; transfer certified to bound 600 (k=4)"
     # Q1 is derived from (2.16) alone, so none of the other twelve
     # identities is expanded.
-    assert verify_identity.cache_info().misses == 1
+    lemma = catalog.by_key["eq-2.16"]
+    assert identity_checks == [(lemma.lhs, lemma.rhs, 300)]
 
 
-def test_a_run_series_checks_the_eight_lemmas_its_proofs_name_once_each(catalog, monkeypatch):
-    # Below verify_identity's cache, so each call is one series check.
-    calls = []
-
-    def spy(lhs, rhs, order):
-        calls.append((lhs, rhs, order))
-        return verify_identity.__wrapped__(lhs, rhs, order)
-
-    verify_decomposition.cache_clear()
-    monkeypatch.setattr(transfer, "verify_identity", lru_cache(maxsize=256)(spy))
+def test_a_run_series_checks_the_eight_lemmas_its_proofs_name_once_each(
+    catalog, identity_checks
+):
     report = run_catalog(catalog, order=300, bound=600, kinds=("decomposition", "target-sum"))
-    verify_decomposition.cache_clear()
     assert report.ok
     named = ["eq-2.12", "eq-2.16", "eq-2.20", "eq-2.21", "eq-2.22", "eq-2.23", "eq-2.24", "eq-2.25"]
     lemmas = [catalog.by_key[key] for key in named]
-    assert sorted(calls) == sorted((e.lhs, e.rhs, 300) for e in lemmas)
+    assert sorted(identity_checks) == sorted((e.lhs, e.rhs, 300) for e in lemmas)
     assert {key for e in catalog.of_kind("decomposition") for key, _n in e.proof} == set(named)
+
+
+@pytest.fixture
+def series_work(monkeypatch):
+    """Series expansions, and proof replays (verify_decomposition calls) of
+    the catalog, counted where the work is done."""
+    work = Counter()
+    expand, replay = transfer.expression_series, catalog_module.verify_decomposition
+
+    def expanding(expr, order):
+        work["expansions"] += 1
+        return expand(expr, order)
+
+    def replaying(*args):
+        work["replays"] += 1
+        return replay(*args)
+
+    monkeypatch.setattr(transfer, "expression_series", expanding)
+    monkeypatch.setattr(catalog_module, "verify_decomposition", replaying)
+    return work
+
+
+def test_a_default_run_expands_each_identity_and_replays_each_proof_once(catalog, series_work):
+    # 13 identities of two sides each; 42 decompositions, each with a proof
+    # that no row or 'via' replays again.
+    assert run_catalog(catalog).ok
+    assert series_work == {"expansions": 26, "replays": 42}
+
+
+def test_a_second_run_in_one_process_does_the_same_series_work(catalog, series_work):
+    # The sharing lives in the run: a later run reuses none of it.
+    first = run_catalog(catalog)
+    work = dict(series_work)
+    series_work.clear()
+    assert run_catalog(catalog).rows == first.rows
+    assert series_work == work == {"expansions": 26, "replays": 42}
 
 
 # A true lemma that is no rewrite rule, and the false decomposition it
@@ -719,7 +741,7 @@ NOT_A_RULE = {
 
 
 @pytest.mark.parametrize("fault", sorted(NOT_A_RULE))
-def test_a_lemma_whose_lhs_is_not_a_bare_product_fails_the_row(fault, verify_calls):
+def test_a_lemma_whose_lhs_is_not_a_bare_product_fails_the_row(fault, series_checks):
     lhs, rhs, d_rhs = NOT_A_RULE[fault]
     text = (
         f"[L] kind: identity\nlhs: {lhs}\nrhs: {rhs}\n\n"
@@ -728,7 +750,7 @@ def test_a_lemma_whose_lhs_is_not_a_bare_product_fails_the_row(fault, verify_cal
     rows = run_catalog(_catalog(text, "D: L q"), order=200, bound=500).rows
     assert [(r.key, r.status) for r in rows] == [("D", "fail"), ("L", "pass")]
     assert rows[0].detail == "proof step 1: lemma lhs is not a bare product"
-    assert verify_calls == []
+    assert series_checks == []
 
 
 @pytest.mark.parametrize(
@@ -743,7 +765,7 @@ def test_a_lemma_whose_lhs_is_not_a_bare_product_fails_the_row(fault, verify_cal
     ],
     ids=["unknown-key", "a-decomposition", "two-product-lhs", "no-match", "closed-terms"],
 )
-def test_a_proof_step_that_is_no_lemma_rewrite_fails_the_row(proof, detail, verify_calls):
+def test_a_proof_step_that_is_no_lemma_rewrite_fails_the_row(proof, detail, series_checks):
     text = Q1_TEXT + "\n[two] kind: identity\nlhs: phi(q) + psi(q)\nrhs: psi(q) + phi(q)\n\n"
     text += "[Q1a] kind: decomposition\nlhs: Y(q)*Y(q^2)*Y(q^4)^2\nmodulus: 2\n"
     text += "rhs: X(q^8)*Y(q^2)*Y(q^4)^2 + q*Y(q^2)*Y(q^4)^3\n"
@@ -755,21 +777,21 @@ def test_a_proof_step_that_is_no_lemma_rewrite_fails_the_row(proof, detail, veri
     catalog = _with_identities(text + target, f"Q1: {proof}")
     row = run_catalog(catalog, order=200, bound=500, keys=["t"]).rows[0]
     assert (row.status, row.detail) == ("fail", f"deriving identity Q1 failed: {detail}")
-    assert verify_calls == []
+    assert series_checks == []
 
 
-def test_an_rhs_shift_must_stay_below_the_order_of_a_replay(verify_calls):
+def test_an_rhs_shift_must_stay_below_the_order_of_a_replay(series_checks):
     # Q1's last term has shift 3: order 3 cannot see it, order 4 can.
     catalog = _with_identities(Q1_TEXT, Q1_PROOF)
     row = run_catalog(catalog, order=3, bound=500, keys=["Q1"]).rows[0]
     assert (row.status, row.detail) == ("fail", "insufficient order 3 for shift 3")
-    assert verify_calls == [catalog.by_key["Q1"].decomposition]
-    verify_calls.clear()
+    assert series_checks == [catalog.by_key["Q1"].decomposition]
+    series_checks.clear()
     row = run_catalog(catalog, order=4, bound=500, keys=["Q1"]).rows[0]
     assert (row.status, row.detail) == (
         "pass", "verified to order 4; transfer certified to bound 500 (k=4)"
     )
-    assert verify_calls == []
+    assert series_checks == []
 
 
 def test_a_via_residue_term_counts_from_1():
@@ -786,11 +808,9 @@ def test_a_via_residue_term_counts_from_1():
 
 
 def test_a_series_check_keeps_no_order_sized_data(catalog):
-    # Expansions are not cached: once the run returns, only outcomes and
-    # the report are held, whatever the order.  With the outcome caches
-    # cleared, every series check of the run expands both sides at this order.
-    verify_decomposition.cache_clear()
-    verify_identity.cache_clear()
+    # Expansions are not cached: once the run returns, only the report is
+    # held, whatever the order.  No verdict outlives its run, so every
+    # series check of the run expands both sides at this order.
     tracemalloc.start()
     try:
         report = run_catalog(
@@ -936,9 +956,9 @@ def test_a_failing_answer_makes_no_check_read_past_the_asking_pass(
     for e in chosen.entries:
         check = catalog_module._CHECKS[e.kind]
         table = SieveTable()
-        check(e, order, bound, chosen, catalog_module._Asker(table))
+        check(e, catalog_module._Run(chosen, order, bound, catalog_module._Asker(table)))
         failing = FailingTable()
-        check(e, order, bound, chosen, failing)
+        check(e, catalog_module._Run(chosen, order, bound, failing))
         assert failing.read <= set(table.questions), e.key
         asked += len(table.questions)
     assert asked > len(chosen) / 2

@@ -3,7 +3,6 @@ from collections import Counter
 import pytest
 
 from thetasums import catalog as catalog_module
-from thetasums import transfer
 from thetasums.catalog import Catalog, parse_catalog_text, run_catalog
 from thetasums.dsl import parse_polygonal_sum, parse_theta_expression
 from thetasums.polygonal import SieveTable, certify_universal, sum_families
@@ -167,22 +166,6 @@ def test_three_atom_products_use_the_same_machinery():
     # Three octagonal terms are not universal, and neither is the lhs sum,
     # so the row fails (test_transfer_refuses_non_universal_lhs).
     assert not certify_universal(lhs_sum, 500).universal
-
-
-@pytest.fixture
-def series_checks(monkeypatch):
-    """Decompositions that reach the series check, in call order."""
-    calls = []
-    series_check = transfer._series_check
-
-    def spy(d, order):
-        calls.append(d)
-        return series_check(d, order)
-
-    verify_decomposition.cache_clear()
-    monkeypatch.setattr(transfer, "_series_check", spy)
-    yield calls
-    verify_decomposition.cache_clear()
 
 
 def _steps(catalog, proof):
