@@ -21,7 +21,13 @@ string with no '"' inside it.  Each kind allows only these fields:
                                          asserts that no theorem lists the sum
 
 Entries parse at load time; malformed data, including a field the kind does
-not allow, is a startup failure that names its file and line.
+not allow, is a startup failure that names its file and line.  A sum field
+(sum, base, chain, claims) is split into its sums at '~' or '|' and into
+terms at each '+' outside parentheses, and each distinct term text of a
+file is parsed once, through a memo that ends with the parse_catalog_text
+call.  A field with a piece that does not parse alone as one term is
+parsed whole, so its error, message and span, is the dsl's.  Theta
+expressions are parsed whole.
 
 A line 'KEY: LEMMA q^N, LEMMA q, ...' of a *.proofs file gives the
 decomposition KEY its proof: the lemma steps that derive its rhs, in the
@@ -60,7 +66,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import dsl
-from .polygonal import PolygonalSum, SieveTable, sum_families, sum_label
+from .polygonal import PolygonalSum, QuadTerm, SieveTable, sum_families, sum_label
 from .theta import ThetaExpression
 from .transfer import (
     Decomposition,
@@ -78,6 +84,10 @@ FIELDS = {
     "base-fact": ("sum",),
     "target-sum": ("sum", "via", "anchor"),
 }
+
+# A '+' that a ')' follows with no paren between them is inside an
+# x(Ax+B)/2 term; every other '+' separates two terms.
+_TERM_SPLIT = re.compile(r"\+(?![^()]*\))")
 
 
 class CatalogError(ValueError):
@@ -146,22 +156,24 @@ def _parse_header(line: str, where: str) -> tuple[str, str, str]:
     if close < 0:
         raise CatalogError(f"{where}: unterminated key in {line!r}")
     key = line[1:close].strip()
-    if not re.fullmatch(r"\S+", key):
+    if len(key.split()) != 1:
         raise CatalogError(f"{where}: key [{key}] must be one word, with no whitespace")
     rest = line[close + 1 :].strip()
     if not rest.startswith("kind:"):
         raise CatalogError(f"{where}: missing kind in {line!r}")
     rest = rest[5:].strip()
-    parts = re.split(r"(?:^|\s)ref:", rest, maxsplit=1)
-    kind = parts[0].strip()
+    at = rest.find("ref:")
+    while at > 0 and not rest[at - 1].isspace():  # glued to the kind, so part of it
+        at = rest.find("ref:", at + 1)
+    kind = (rest if at < 0 else rest[:at]).strip()
     if kind not in FIELDS:
         raise CatalogError(f"{where}: unknown kind {kind!r}")
-    if len(parts) == 1:
+    if at < 0:
         return key, kind, ""
-    ref = re.fullmatch(r'"([^"]*)"', parts[1].strip())
-    if ref is None:
+    ref = rest[at + 4 :].strip()
+    if ref[:1] != '"' or ref[-1:] != '"' or ref.count('"') != 2:
         raise CatalogError(f"{where}: ref must be one double-quoted string in {line!r}")
-    return key, kind, ref[1]
+    return key, kind, ref[1:-1]
 
 
 def parse_catalog_text(text: str, where: str = "<catalog>") -> list[CatalogEntry]:
@@ -193,14 +205,41 @@ def parse_catalog_text(text: str, where: str = "<catalog>") -> list[CatalogEntry
             raise CatalogError(f"{loc}: duplicate field {name!r} in [{current.key}]")
         current.fields[name] = value.strip()
         lines[-1][name] = lineno
+    terms: dict[str, QuadTerm] = {}  # each term text of this file, parsed once
     for e, at in zip(entries, lines):
-        _parse_payload(e, where, at)
+        _parse_payload(e, where, at, terms)
     return entries
 
 
-def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> None:
+def _memo_sums(text: str, sep: str, terms: dict[str, QuadTerm]) -> list[PolygonalSum] | None:
+    """The sums of text split at sep ("" for a single sum), each term looked
+    up in terms by its text or parsed once as a one-term sum; None when
+    some piece does not parse so.  A term's text is the piece of its sum
+    between two _TERM_SPLIT '+'s, spaces included."""
+    sums = []
+    for part in text.split(sep) if sep else (text,):
+        found = []
+        for piece in _TERM_SPLIT.split(part):
+            term = terms.get(piece)
+            if term is None:
+                try:
+                    (term,) = dsl.parse_polygonal_sum(piece).terms
+                except ValueError:  # a ParseError, or more than one term
+                    return None
+                terms[piece] = term
+            found.append(term)
+        sums.append(PolygonalSum(found))
+    return sums
+
+
+def _parse_payload(
+    entry: CatalogEntry, where: str, lines: dict[str, int], terms: dict[str, QuadTerm]
+) -> None:
     """Parse entry's fields by kind; an error names the line of the field
-    being parsed, or the header line for a missing field."""
+    being parsed, or the header line for a missing field.
+
+    A sum field is read through _memo_sums, and parsed whole by dsl only
+    when some piece of it does not parse alone, which then raises."""
     field_name = ""
 
     def value(name: str) -> str:
@@ -211,6 +250,17 @@ def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> No
         field_name = name
         return entry.fields[name]
 
+    def sums(name: str, sep: str = "") -> list[PolygonalSum]:
+        text = value(name)
+        found = _memo_sums(text, sep, terms)
+        if found is not None:
+            return found
+        if sep == "~":
+            return dsl.parse_chain(text)
+        if sep == "|":
+            return dsl.parse_claims(text)
+        return [dsl.parse_polygonal_sum(text)]
+
     try:
         if entry.kind == "identity":
             entry.lhs = dsl.parse_theta_expression(value("lhs"))
@@ -219,26 +269,27 @@ def _parse_payload(entry: CatalogEntry, where: str, lines: dict[str, int]) -> No
             lhs = dsl.parse_theta_expression(value("lhs"))
             if len(lhs.terms) != 1:
                 raise CatalogError("lhs must be a single product")
-            if not re.fullmatch(r"[0-9]+", value("modulus")):
+            digits = value("modulus")
+            if not (digits.isascii() and digits.isdigit()):
                 raise CatalogError("modulus must be written in ASCII digits")
             try:
-                modulus = int(value("modulus"))
+                modulus = int(digits)
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise CatalogError("modulus has too many digits") from None
             rhs = dsl.parse_theta_expression(value("rhs"))
             entry.decomposition = Decomposition(lhs.terms[0], modulus, rhs.terms)
             if "base" in entry.fields:
-                entry.base = dsl.parse_polygonal_sum(value("base"))
+                (entry.base,) = sums("base")
             if "claims" in entry.fields:
-                entry.claims = tuple(dsl.parse_claims(value("claims")))
+                entry.claims = tuple(sums("claims", "|"))
         elif entry.kind == "equivalence":
-            entry.chain = tuple(dsl.parse_chain(value("chain")))
+            entry.chain = tuple(sums("chain", "~"))
             if len(entry.chain) < 2:
                 raise CatalogError("chain needs at least two sums")
             if "certify" in entry.fields and value("certify") != "members":
                 raise CatalogError("certify must be 'members'")
         elif entry.kind in ("base-fact", "target-sum"):
-            entry.target = dsl.parse_polygonal_sum(value("sum"))
+            (entry.target,) = sums("sum")
             entry.via = entry.fields.get("via")
             via = entry.via and re.fullmatch(r"\S+(\s+r([0-9]+))?", value("via"))
             if entry.via is not None and not via:

@@ -85,8 +85,20 @@ class QuadTerm(namedtuple("QuadTerm", "coeff a b")):
         return self.coeff * (x * (self.a * x + self.b)) // 2
 
     def values_upto(self, bound: int) -> list[int]:
-        """All family values <= bound, each once, in increasing order."""
-        return sorted(set(atom_exponents(*family_key(self), bound)))
+        """All family values <= bound, each once, in increasing order.
+
+        atom_exponents lists the branch n >= 0, then n < 0, each increasing.
+        For 0 < i < j the branches are disjoint, so sorted merges two runs.
+        For i == j they hold the same values, and for i == 0 the first is 0
+        followed by the second; either way the first branch, the first
+        len // 2 + 1 values, is the whole list, once its leading 0 is
+        dropped when i == 0.
+        """
+        i, j = family_key(self)
+        values = atom_exponents(i, j, bound)
+        if 0 < i < j:
+            return sorted(values)
+        return values[i == 0 : len(values) // 2 + 1]
 
 
 class PolygonalSum(namedtuple("PolygonalSum", "terms")):

@@ -1,13 +1,15 @@
+import random
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thetasums import catalog as catalog_module
-from thetasums import polygonal, transfer
+from thetasums import dsl, polygonal, transfer
 from thetasums.catalog import (
     FIELDS,
     Catalog,
@@ -18,6 +20,7 @@ from thetasums.catalog import (
     parse_catalog_text,
     run_catalog,
 )
+from thetasums.dsl import ParseError, parse_chain, parse_claims, parse_polygonal_sum
 from thetasums.polygonal import QuadTerm, SieveTable, sum_families
 from thetasums.transfer import derive_sums, verify_decomposition
 
@@ -250,6 +253,52 @@ def test_a_run_reads_the_lemmas_by_key_and_scans_no_kind(catalog, monkeypatch):
 def test_a_ref_is_read_between_its_quotes():
     text = '[x] kind: base-fact ref:  "(2.8), p. 3"  \nsum: p3\n\n[y] kind: base-fact\nsum: p4'
     assert [e.ref for e in parse_catalog_text(text)] == ["(2.8), p. 3", ""]
+
+
+def _header_by_regexes(line: str):
+    """The header grammar as regular expressions: (key, kind, ref), or the
+    part that is malformed."""
+    close = line.find("]")
+    key = line[1:close].strip()
+    if not re.fullmatch(r"\S+", key):
+        return "key"
+    parts = re.split(r"(?:^|\s)ref:", line[close + 1 :].strip()[5:].strip(), maxsplit=1)
+    kind = parts[0].strip()
+    if kind not in FIELDS:
+        return "kind"
+    if len(parts) == 1:
+        return key, kind, ""
+    ref = re.fullmatch(r'"([^"]*)"', parts[1].strip())
+    return "ref" if ref is None else (key, kind, ref[1])
+
+
+# Text after a header's kind: Unicode spaces, "ref:" and its parts, quotes.
+HEADER_BITS = st.lists(
+    st.sampled_from([" ", "\u2003", "\x1c", "\x85", "\xa0", "ref:", "ref", ":", '"', '"x"', "x"]),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    key=st.text(alphabet="ab \u2003\x1c\x85", max_size=3),
+    kind=st.sampled_from([*FIELDS, "mystery", ""]),
+    before=st.text(alphabet=" \u2003\x1c", max_size=2),
+    after=st.one_of(
+        HEADER_BITS,
+        st.builds("{}ref:{}".format, st.text(" \u2003\x85", max_size=2), st.text('"x ', max_size=4)),
+    ),
+)
+@example(key="a", kind="identity", before="", after=' ref:"x""')
+@example(key="a", kind="identity", before="", after='ref: "x"')
+@example(key="a\u2003b", kind="identity", before="", after="")
+def test_a_header_reads_as_its_regular_expressions_read_it(key, kind, before, after):
+    line = f"[{key}] kind:{before}{kind}{after}"
+    try:
+        got = catalog_module._parse_header(line, "a.cat:1")
+    except CatalogError as exc:
+        got = {"key": "key", "unknown": "kind", "ref": "ref"}[str(exc).split()[1]]
+    assert got == _header_by_regexes(line)
 
 
 @pytest.mark.parametrize(
@@ -971,3 +1020,145 @@ def test_an_entry_of_a_kind_outside_fields_has_no_check():
     assert entry.kind not in FIELDS
     with pytest.raises(CatalogError, match=r"^\[x\]: unknown kind 'mystery'$"):
         run_catalog(catalog, 100, 100)
+
+
+# -- the term memo of a catalog load ---------------------------------------
+
+PAYLOAD = (
+    "key", "kind", "ref", "fields", "where", "lhs", "rhs", "decomposition",
+    "base", "claims", "chain", "target", "via", "residue", "anchor",
+)
+
+
+def _loaded(text: str):
+    """Every parsed payload of text, or the text of its CatalogError."""
+    try:
+        entries = parse_catalog_text(text, "a.cat")
+    except CatalogError as exc:
+        return str(exc)
+    return [[getattr(e, name) for name in PAYLOAD] for e in entries]
+
+
+def _loaded_whole(text: str):
+    """_loaded with every sum field parsed whole by dsl, with no term memo."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(catalog_module, "_memo_sums", lambda text, sep, terms: None)
+        return _loaded(text)
+
+
+@pytest.mark.parametrize("name", sorted(DATA_FILES))
+def test_every_packaged_file_loads_as_whole_field_parses_load_it(name):
+    text = (DATA / name).read_text(encoding="utf-8")
+    assert _loaded(text) == _loaded_whole(text)
+
+
+# Term texts, valid or not, and the separators joined between them.
+TERM_TEXTS = st.sampled_from(
+    ["p3", "p8", " 2*p5 ", "x(3x+1)/2", "3*x( 5x - 3 )/2", "x(2x+0)/2", "p\u20038", "p\xa04"] * 3
+    + ["x(3x+2)/2", "0", "", "p2", "2*", "p\xb2", "p3 ~ p4", "(", ")", "q", "\u2003", "p 3 4"]
+)
+SEPARATORS = st.sampled_from(["+", " + ", "\u2003+ ", "~", " ~ ", "|", " | "])
+FIELD_TEXTS = st.builds(
+    lambda first, rest: first + "".join(sep + term for sep, term in rest),
+    TERM_TEXTS,
+    st.lists(st.tuples(SEPARATORS, TERM_TEXTS), max_size=5),
+)
+# Per sum field, the block around it.
+SUM_FIELD_BLOCKS = {
+    "sum": "[k{}] kind: base-fact\nsum: {}\n",
+    "chain": "[k{}] kind: equivalence\nchain: {}\n",
+    "base": Q1_TEXT.replace("[Q1]", "[k{}]") + "base: {}\n",
+    "claims": Q1_TEXT.replace("[Q1]", "[k{}]") + "claims: {}\n",
+}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(fields=st.lists(st.tuples(st.sampled_from(sorted(SUM_FIELD_BLOCKS)), FIELD_TEXTS), min_size=1, max_size=4))
+def test_drawn_sum_fields_load_as_whole_field_parses_load_them(fields):
+    text = "\n".join(SUM_FIELD_BLOCKS[name].format(i, value) for i, (name, value) in enumerate(fields))
+    assert _loaded(text) == _loaded_whole(text)
+
+
+WHOLE_FIELD_PARSES = {
+    "": lambda text: [parse_polygonal_sum(text)],
+    "~": parse_chain,
+    "|": parse_claims,
+}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(fields=st.lists(st.tuples(st.sampled_from(sorted(WHOLE_FIELD_PARSES)), FIELD_TEXTS), max_size=8))
+def test_one_term_memo_reads_each_field_as_its_whole_field_parse_or_not_at_all(fields):
+    # Fields that share a memo, as one file's do, and go on after a failure.
+    terms = {}
+    for sep, text in fields:
+        try:
+            whole = WHOLE_FIELD_PARSES[sep](text)
+        except ParseError:
+            whole = None
+        assert catalog_module._memo_sums(text, sep, terms) == whole, text
+
+
+def test_a_piece_of_more_than_one_term_is_parsed_whole(monkeypatch):
+    # A term split that missed a '+' gives a piece of two terms: the field
+    # is then parsed whole, not read as the piece's first term.
+    monkeypatch.setattr(catalog_module, "_TERM_SPLIT", re.compile(r"\+(?= p4)"))
+    (entry,) = parse_catalog_text("[k] kind: base-fact\nsum: p3 + p5 + p4")
+    assert entry.target == parse_polygonal_sum("p3 + p5 + p4")
+
+
+def test_a_packaged_load_parses_each_term_text_once_per_file(monkeypatch):
+    parsed = []
+    parse = dsl.parse_polygonal_sum
+
+    def spy(text):
+        parsed.append(text)
+        return parse(text)
+
+    def whole(text):
+        raise AssertionError("a valid field parsed whole")
+
+    monkeypatch.setattr(dsl, "parse_polygonal_sum", spy)
+    monkeypatch.setattr(dsl, "parse_chain", whole)
+    monkeypatch.setattr(dsl, "parse_claims", whole)
+    per_file = []
+    for path in sorted(DATA.glob("*.cat")):
+        parsed.clear()
+        parse_catalog_text(path.read_text(encoding="utf-8"), path.name)
+        assert len(parsed) == len(set(parsed)), path.name
+        per_file.append(len(parsed))
+    # 2,062 terms in 526 sums, of 190 distinct texts within their files.
+    assert sum(per_file) == 190
+
+
+# Characters a random edit puts in: the grammar's, the catalog's and some
+# that neither allows.
+FUZZ_CHARACTERS = "0123456789 pqxfXY+-*^(),/~|[]:#\"\n\u2003\xb2"
+
+
+def test_random_edits_of_packaged_blocks_raise_only_catalog_and_parse_errors():
+    rng = random.Random(30)
+    blocks = [
+        block
+        for path in sorted(DATA.glob("*.cat"))
+        for block in path.read_text(encoding="utf-8").split("\n\n")
+        if block.startswith("[")
+    ]
+    loaded = 0
+    for _ in range(6000):
+        text = "\n\n".join(rng.sample(blocks, 3))
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randrange(len(text) + 1)
+            cut = rng.randint(0, 1)  # 0: insert, 1: replace or delete
+            text = text[:at] + rng.choice(FUZZ_CHARACTERS + "\0") + text[at + cut :]
+            text = text.replace("\0", "")
+        try:
+            catalog = Catalog(parse_catalog_text(text))
+        except CatalogError:
+            continue
+        loaded += 1
+        try:
+            run_catalog(catalog, order=60, bound=300)
+        except (CatalogError, ParseError):
+            pass
+    assert loaded > 1000

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thetasums import dsl
-from thetasums.catalog import load_catalog
+from thetasums.catalog import load_catalog, parse_catalog_text
 from thetasums.dsl import (
     ParseError,
     parse_chain,
@@ -149,6 +149,9 @@ def test_valid_text_never_looks_for_a_token_start(monkeypatch):
 
     monkeypatch.setattr(dsl, "_token_start", no_rescan)
     assert len(load_catalog()) == 363
+    # The '+' inside x(3x+1)/2 joins no two terms of the chain.
+    (entry,) = parse_catalog_text("[k] kind: equivalence\nchain: x(3x+1)/2 + p4 ~ p5 + p4")
+    assert entry.chain == tuple(parse_chain("p5 + p4 ~ p5 + p4"))
     with pytest.raises(AssertionError, match="valid text"):
         parse_theta_expression("phi(q")
 

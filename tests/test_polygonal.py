@@ -33,6 +33,7 @@ from oracles import (
     expected_value_mask,
     reduce_term_by_divisors,
     representation_series,
+    term_values_sorted,
 )
 
 
@@ -85,6 +86,25 @@ def test_values_upto_lists_each_value_once_in_order(term):
     assert all(u < v for u, v in zip(values, values[1:]))
     brute = {term.value(x) for x in range(-bound, bound + 1)}
     assert values == sorted(v for v in brute if v <= bound)
+
+
+@st.composite
+def quad_terms(draw):
+    """QuadTerms of every shape: b = -a gives the atom (0, j), b = 0 the
+    atom (i, i), and p6's b = -a/2 the hexagonal (i, 3i), keyed (0, i)."""
+    a = draw(st.integers(1, 12))
+    b = draw(st.sampled_from([b for b in range(-a, 1) if (a - b) % 2 == 0]))
+    return QuadTerm(draw(st.integers(1, 6)), a, b)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(term=quad_terms(), bound=st.integers(0, 3000))
+@example(term=QuadTerm(1, 1, -1), bound=0)  # (0, 1): 0 is n = 0 and n = 1
+@example(term=QuadTerm(2, 2, 0), bound=0)  # (2, 2)
+@example(term=QuadTerm(1, 4, -2), bound=3000)  # p6, keyed (0, 1)
+@example(term=QuadTerm(3, 5, -1), bound=3000)  # (6, 9)
+def test_values_upto_is_the_brute_force_value_set(term, bound):
+    assert term.values_upto(bound) == term_values_sorted(term, bound, with_multiplicity=False)
 
 
 def test_quad_term_validation():
