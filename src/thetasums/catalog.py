@@ -12,6 +12,8 @@ string with no '"' inside it.  Each kind allows only these fields:
 
     identity       lhs:, rhs:            theta expressions; checked by series
     decomposition  lhs:, modulus:, rhs:, base:, claims:  (claims '|'-separated)
+                                         base: the lhs sum, or a sum that one
+                                         equivalence chain holds with it
     equivalence    chain:, certify:      sums joined by '~', checked pairwise;
                                          'certify: members' certifies each sum
     base-fact      sum:                  externally known sum, re-certified
@@ -43,7 +45,10 @@ Every series check is transfer.verify_identity, and a decomposition is
 checked by transfer.verify_decomposition, which replays its proof with the
 identities its keys name.  The row then certifies the sums read off the
 atoms (transfer.derive_sums): the lhs sum up to the bound and, only once it
-passes, each rhs sum up to the largest m with k*m + shift <= bound.
+passes, each rhs sum up to the largest m with k*m + shift <= bound.  A
+base must be the lhs sum by family key, or a sum that one equivalence
+chain holds with it (Catalog.chains); it is then certified and compared
+with the lhs sum up to the bound.
 Nothing is checked at load time.
 
 Each kind has one check, which returns (ok, detail); check_entry builds
@@ -145,6 +150,17 @@ class Catalog:
             elif e.kind == "equivalence" and "certify" in e.fields:
                 for s in e.chain:
                     index.setdefault(sum_families(s), e.key)
+        return index
+
+    @cached_property
+    def chains(self) -> dict[tuple, set[str]]:
+        """Family-key index of the equivalence chains: the keys of the
+        chains that hold a sum of each family tuple."""
+        index: dict[tuple, set[str]] = {}
+        for e in self.entries:
+            if e.kind == "equivalence":
+                for s in e.chain:
+                    index.setdefault(sum_families(s), set()).add(e.key)
         return index
 
     def __len__(self):
@@ -428,6 +444,13 @@ def _check_decomposition(entry: CatalogEntry, run: _Run) -> tuple[bool, str]:
     if lhs_gaps:
         problems.append(f"lhs sum {sum_label(lhs_sum)} missing {lhs_gaps[:3]}")
     if entry.base is not None:
+        lhs_key, base_key = sum_families(lhs_sum), sum_families(entry.base)
+        chains = run.catalog.chains
+        if lhs_key != base_key and chains.get(lhs_key, set()).isdisjoint(chains.get(base_key, ())):
+            problems.append(
+                f"base {sum_label(entry.base)} is not the lhs sum {sum_label(lhs_sum)}"
+                " and no equivalence chain holds both"
+            )
         if run.sieve.universal(entry.base, run.bound):
             problems.append(f"base {sum_label(entry.base)} not certified")
         witness = run.sieve.equal(lhs_sum, entry.base, run.bound)

@@ -12,10 +12,9 @@ arguments q^i, q^j.  The named shapes are
 Expressions are formal integer-weighted sums of q-power-shifted products
 of atoms; they evaluate exactly into Series.  expression_series expands
 them straight from the atoms' exponent lists (atom_exponents) into one
-coefficient list, with no Series arithmetic; product_series is that
-expansion of one bare term, atom_series of one atom.  The two rewriting
-rules used throughout are symmetry (i, j) = (j, i) and the unit-argument
-doubling (0, j) -> 2 * (j, 3j).
+coefficient list, the one route to a theta product; atom_series is that
+expansion of one atom.  The two rewriting rules used throughout are
+symmetry (i, j) = (j, i) and the unit-argument doubling (0, j) -> 2 * (j, 3j).
 
 Atoms, product terms and expressions are immutable namedtuples whose
 constructors validate (_make, and so _replace, call the constructor): they
@@ -138,12 +137,7 @@ def atom_exponents(i: int, j: int, limit: int) -> list[int]:
 
 def atom_series(atom: ThetaAtom, order: int) -> Series:
     """Exact expansion of the atom, truncated at order."""
-    return product_series((atom,), order)
-
-
-def product_series(atoms: tuple[ThetaAtom, ...], order: int) -> Series:
-    """Expansion of a plain product of atoms (no shift, no multiplier)."""
-    return expression_series(ThetaExpression((ProductTerm(1, 0, atoms),)), order)
+    return expression_series(ThetaExpression((ProductTerm(1, 0, (atom,)),)), order)
 
 
 def expression_series(expr: ThetaExpression, order: int) -> Series:

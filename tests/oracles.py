@@ -3,9 +3,10 @@
 Everything here recomputes results by a second route (schoolbook
 convolution, direct nested loops over integer variables, theta products)
 so the fast paths in the package are checked against an independent one.
-dense_expression_series expands a theta expression through dense Series
-arithmetic (atom_series, Series.mul, scale, shift and add), a second
-route to theta.expression_series.
+zero, add, scale, mul and shift are dense series arithmetic on plain
+coefficient lists, which the package does not have; dense_expression_series
+expands a theta expression through them, from each atom's stepped
+exponents, as the second route to theta.expression_series.
 The sieve, representation_series and brute_counts/brute_missing are the
 three legs of the sieve/series/loops oracle; top_aligned reads a mask of
 bitmask_sumset in the sieve's bit order by string reversal, and
@@ -23,44 +24,102 @@ recorded proof, which the package only replays.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 
 from thetasums.dsl import ParseError, SourceSpan
 from thetasums.polygonal import PolygonalSum, QuadTerm
 from thetasums.series import Series
-from thetasums.theta import (
-    ThetaAtom,
-    ThetaExpression,
-    atom_series,
-    canonicalize,
-    product_series,
-)
+from thetasums.theta import ThetaAtom, ThetaExpression, canonicalize
 from thetasums.transfer import _merge, _rewrite
 
 
-def schoolbook_mul(a: Series, b: Series) -> Series:
+def zero(order: int) -> list[int]:
+    """The coefficient list of 0 at order."""
+    if order < 1:
+        raise ValueError("series order must be positive")
+    return [0] * order
+
+
+def add(a: list[int], b: list[int]) -> list[int]:
+    """Coefficientwise sum, truncated to the shorter list."""
+    return [x + y for x, y in zip(a, b)]
+
+
+def scale(a: list[int], k: int) -> list[int]:
+    """Every coefficient times the integer k; a is returned as is for k = 1."""
+    k = index(k)
+    if k == 1:
+        return a
+    return [k * c for c in a]
+
+
+def mul(a: list[int], b: list[int]) -> list[int]:
+    """Cauchy product truncated to the shorter list.
+
+    Iterates nonzero terms only, outer loop over the sparser factor.
+    """
+    order = min(len(a), len(b))
+    na = [(e, c) for e, c in enumerate(a[:order]) if c]
+    nb = [(e, c) for e, c in enumerate(b[:order]) if c]
+    if len(na) > len(nb):
+        na, nb = nb, na
+    out = [0] * order
+    for ea, ca in na:
+        limit = order - ea
+        for eb, cb in nb:
+            if eb >= limit:
+                break
+            out[ea + eb] += ca * cb
+    return out
+
+
+def shift(a: list[int], e: int) -> list[int]:
+    """Times q^e, keeping the length; a is returned as is for e = 0."""
+    if e < 0:
+        raise ValueError("shift must be nonnegative")
+    if e == 0:
+        return a
+    return ([0] * e + a)[: len(a)]
+
+
+def schoolbook_mul(a: list[int], b: list[int]) -> list[int]:
     """Quadratic-time convolution over every index pair."""
-    order = min(a.order, b.order)
+    order = min(len(a), len(b))
     out = [0] * order
     for i in range(order):
         ai = a[i]
         for j in range(order - i):
             out[i + j] += ai * b[j]
-    return Series(out, order)
+    return out
+
+
+def atom_coeffs(atom: ThetaAtom, order: int) -> list[int]:
+    """The atom's coefficient list at order, counted from stepped_atom_exponents."""
+    out = zero(order)
+    for e in stepped_atom_exponents(atom.i, atom.j, order - 1):
+        out[e] += 1
+    return out
+
+
+def product_coeffs(atoms, order: int) -> list[int]:
+    """The coefficient list of a plain product of atoms, a chain of mul."""
+    product = atom_coeffs(atoms[0], order)
+    for a in atoms[1:]:
+        product = mul(product, atom_coeffs(a, order))
+    return product
 
 
 def dense_expression_series(expr: ThetaExpression, order: int) -> Series:
-    """theta.expression_series from Series arithmetic over full-length lists.
+    """theta.expression_series from arithmetic on full-length coefficient lists.
 
-    Each term's product is a chain of Series.mul over atom_series, scaled
-    by the multiplier, shifted and added to Series.zero.
+    Each term's product is a chain of mul over atom_coeffs, scaled by the
+    multiplier, shifted and added to zero.
     """
-    total = Series.zero(order)
+    total = zero(order)
     for term in expr.terms:
-        product = atom_series(term.atoms[0], order)
-        for a in term.atoms[1:]:
-            product = product.mul(atom_series(a, order))
-        total = total.add(product.scale(term.multiplier).shift(term.shift))
-    return total
+        product = product_coeffs(term.atoms, order)
+        total = add(total, shift(scale(product, term.multiplier), term.shift))
+    return Series(total)
 
 
 def representation_series(s: PolygonalSum, bound: int) -> Series:
@@ -73,7 +132,7 @@ def representation_series(s: PolygonalSum, bound: int) -> Series:
         ThetaAtom(t.coeff * (t.a + t.b) // 2, t.coeff * (t.a - t.b) // 2)
         for t in s.terms
     )
-    return product_series(atoms, bound + 1)
+    return Series(product_coeffs(atoms, bound + 1))
 
 
 def stepped_atom_exponents(i: int, j: int, limit: int) -> list[int]:

@@ -21,7 +21,14 @@ from thetasums.catalog import (
     run_catalog,
 )
 from thetasums.dsl import ParseError, parse_chain, parse_claims, parse_polygonal_sum
-from thetasums.polygonal import QuadTerm, SieveTable, sum_families
+from thetasums.polygonal import (
+    QuadTerm,
+    SieveTable,
+    certify_universal,
+    equivalent_upto,
+    sum_families,
+    sum_label,
+)
 from thetasums.transfer import derive_sums, verify_decomposition
 
 from oracles import derive_decomposition, lemma_rules
@@ -443,6 +450,133 @@ def test_duplicate_derivations_are_both_kept(catalog):
 
     assert sum_families(rhs_sums("Q11")[3]) == sum_families(rhs_sums("Q18")[2])
     assert sum_families(rhs_sums("Q17")[3]) == sum_families(rhs_sums("QX13")[2])
+
+
+# -- a decomposition's base: the lhs sum, or a sum one chain holds with it
+
+
+@pytest.fixture(scope="module")
+def own_catalog():
+    """A loaded catalog of this module's own, whose entries a test may edit
+    and must restore."""
+    return load_catalog()
+
+
+def _base_row(catalog, key, base, bound=2000):
+    """The row of decomposition key, checked alone with its base swapped."""
+    entry = catalog.by_key[key]
+    kept, entry.base = entry.base, base
+    try:
+        return run_catalog(catalog, order=50, bound=bound, keys=[key]).rows[0]
+    finally:
+        entry.base = kept
+
+
+def _base_rule_detail(base, lhs_sum):
+    return (
+        f"base {sum_label(base)} is not the lhs sum {sum_label(lhs_sum)}"
+        " and no equivalence chain holds both"
+    )
+
+
+def _chains_holding(catalog, s1, s2):
+    """Keys of the chains with a member of each sum's family tuple."""
+    wanted = {sum_families(s1), sum_families(s2)}
+    return {
+        e.key
+        for e in catalog.of_kind("equivalence")
+        if wanted <= {sum_families(s) for s in e.chain}
+    }
+
+
+def test_four_packaged_bases_are_held_with_their_lhs_sum_by_a_chain(catalog):
+    chained = {}
+    for e in catalog.of_kind("decomposition"):
+        lhs_sum, _ = derive_sums(e.decomposition)
+        if sum_families(lhs_sum) != sum_families(e.base):
+            chained[e.key] = _chains_holding(catalog, lhs_sum, e.base)
+    assert chained == {
+        "Q16": {"pf-q16-base", "thm3.4-chain-06"},
+        "QX1": {"thm3.4-chain-06"},
+        "QX2": {"thm3.4-chain-06"},
+        "QX11": {"pf-qx11-base", "thm3.4-chain-25"},
+    }
+    for e in catalog.of_kind("equivalence"):
+        for s in e.chain:
+            assert e.key in catalog.chains[sum_families(s)]
+
+
+def test_a_base_that_is_another_universal_sum_fails(own_catalog):
+    # QX11's base and Q1's lhs sum are both universal, so their value sets
+    # agree up to the bound and only the base rule tells them apart.
+    base = parse_polygonal_sum("4*p5+p8+2*p8+6*p8")
+    lhs_sum, _ = derive_sums(own_catalog.by_key["Q1"].decomposition)
+    assert _chains_holding(own_catalog, lhs_sum, base) == set()
+    row = _base_row(own_catalog, "Q1", base)
+    assert (row.status, row.detail) == (
+        "fail",
+        "base 4*p5 + p8 + 2*p8 + 6*p8 is not the lhs sum p8 + 2*p8 + 4*p8 + 4*p8"
+        " and no equivalence chain holds both",
+    )
+    assert _base_row(own_catalog, "Q1", own_catalog.by_key["Q1"].base).ok
+
+
+def _base_mutants(catalog):
+    """(key, mutant) of each decomposition's base with one digit run moved
+    by 1, for each mutant that parses."""
+    mutants = []
+    for e in catalog.of_kind("decomposition"):
+        text = e.fields["base"]
+        for m in re.finditer("[0-9]+", text):
+            for step in (-1, 1):
+                moved = f"{text[:m.start()]}{int(m[0]) + step}{text[m.end():]}"
+                try:
+                    mutant = parse_polygonal_sum(moved)
+                except ValueError:
+                    continue
+                mutants.append((e.key, mutant))
+    return mutants
+
+
+def test_base_mutants_the_sieve_passes_fail_the_base_rule(own_catalog):
+    # A mutant that is universal to the bound, with the lhs sum's values,
+    # passed its row before the base rule: the row asked only those two
+    # sieve questions of a base.  Mutants that keep the base's family tuple,
+    # or that a chain holds with the lhs sum, are the base again.
+    bound = 2000
+    passing = []
+    for key, mutant in _base_mutants(own_catalog):
+        entry = own_catalog.by_key[key]
+        lhs_sum, _ = derive_sums(entry.decomposition)
+        if sum_families(mutant) == sum_families(entry.base):
+            continue
+        if _chains_holding(own_catalog, lhs_sum, mutant):
+            continue
+        same, _ = equivalent_upto(lhs_sum, mutant, bound)
+        if same and certify_universal(mutant, bound).universal:
+            passing.append((key, mutant, lhs_sum))
+    assert len(passing) == 496
+    for key, mutant, lhs_sum in random.Random(31).sample(passing, 60):
+        row = _base_row(own_catalog, key, mutant, bound)
+        assert (row.status, row.detail) == ("fail", _base_rule_detail(mutant, lhs_sum)), key
+
+
+def test_a_chained_base_fails_without_the_chains_that_hold_both(catalog):
+    q16 = catalog.by_key["Q16"]
+    lhs_sum, _ = derive_sums(q16.decomposition)
+    both = _chains_holding(catalog, lhs_sum, q16.base)
+    assert both == {"pf-q16-base", "thm3.4-chain-06"}
+
+    def q16_row(dropped):
+        kept = Catalog([e for e in catalog.entries if e.key not in dropped])
+        return run_catalog(kept, order=50, bound=2000, keys=["Q16"]).rows[0]
+
+    expected = "verified to order 50; transfer certified to bound 2000 (k=2)"
+    for one in both:
+        row = q16_row({one})
+        assert (row.status, row.detail) == ("pass", expected)
+    row = q16_row(both)
+    assert (row.status, row.detail) == ("fail", _base_rule_detail(q16.base, lhs_sum))
 
 
 def test_run_catalog_full_small(catalog):
@@ -914,7 +1048,8 @@ certify: members
 
 # A true decomposition whose lhs sum takes even values only.  Its rhs sum,
 # p4 + p4 + p4, misses 7, but only a certified lhs transfers, so the row
-# reports the lhs and the base and says nothing of the rhs sum.
+# reports the lhs and the base, which is not the lhs sum either, and says
+# nothing of the rhs sum.
 EVEN_SQUARES = """
 [even-squares] kind: decomposition ref: "every atom already in q^2"
 lhs: phi(q^2)^3
@@ -959,8 +1094,9 @@ def test_failing_rows_keep_their_exact_details(broken_catalog):
         (
             "even-squares",
             "fail",
-            "lhs sum 2*p4 + 2*p4 + 2*p4 missing (1, 3, 5); base p4 + p4 + p4 not certified; "
-            "lhs and base value sets differ at 1",
+            "lhs sum 2*p4 + 2*p4 + 2*p4 missing (1, 3, 5); base p4 + p4 + p4 is not the lhs "
+            "sum 2*p4 + 2*p4 + 2*p4 and no equivalence chain holds both; "
+            "base p4 + p4 + p4 not certified; lhs and base value sets differ at 1",
         ),
         (
             "thm3.1-01",

@@ -14,7 +14,7 @@ from thetasums.transfer import (
     verify_decomposition,
 )
 
-from oracles import derive_decomposition, lemma_rules
+from oracles import derive_decomposition, lemma_rules, product_coeffs
 
 
 def get_decomposition(catalog, key):
@@ -129,16 +129,14 @@ def test_per_residue_identity_mechanism(catalog):
     # Representation counts on residue class (r-1) mod k of the lhs match
     # the descaled rhs term counts exactly; verify_decomposition checks
     # this, so a spot check of the arithmetic suffices here.
-    from thetasums.theta import product_series
-
     d = get_decomposition(catalog, "Q18")
     k = d.modulus
     order = 600
-    lhs = product_series(d.lhs.atoms, order)
+    lhs = product_coeffs(d.lhs.atoms, order)
     for t in d.rhs:
         descaled = tuple(ThetaAtom(a.i // k, a.j // k) for a in t.atoms)
-        inner = product_series(descaled, (order - t.shift + k - 1) // k)
-        for m in range(inner.order):
+        inner = product_coeffs(descaled, (order - t.shift + k - 1) // k)
+        for m in range(len(inner)):
             e = k * m + t.shift
             if e >= order:
                 break
@@ -273,15 +271,24 @@ def test_transfer_refuses_non_universal_lhs():
     assert row.detail == (
         "claim 2 is p4 + p8 + p8 but the atoms give p8 + p8 + p8; "
         "lhs sum 3*p4 + p8 + 2*p8 missing (9, 25, 39); "
-        "lhs and base value sets differ at 9"
+        "base p4 + p4 + p4 + p4 is not the lhs sum 3*p4 + p8 + 2*p8 and no "
+        "equivalence chain holds both; lhs and base value sets differ at 9"
     )
 
 
 def test_a_base_that_is_not_universal_is_reported():
-    row = _row(Q1_TEXT + f"base: {EVEN}\n", 200, 2000)
+    # A chain that holds the lhs sum and the base lets the base stand in for
+    # the lhs sum; without it the base is also not the lhs sum.
+    chained = "\n[link] kind: equivalence\nchain: p8 + 2*p8 + 4*p8 + 4*p8 ~ " + EVEN + "\n"
+    row = _row(Q1_TEXT + f"base: {EVEN}\n" + chained, 200, 2000)
     assert (row.key, row.status) == ("Q1", "fail")
     assert row.detail == (
         f"base {EVEN} not certified; lhs and base value sets differ at 1"
+    )
+    row = _row(Q1_TEXT + f"base: {EVEN}\n", 200, 2000)
+    assert row.detail == (
+        f"base {EVEN} is not the lhs sum p8 + 2*p8 + 4*p8 + 4*p8 and no equivalence "
+        f"chain holds both; base {EVEN} not certified; lhs and base value sets differ at 1"
     )
 
 
