@@ -51,7 +51,7 @@ chain holds with it (Catalog.chains); it is then certified and compared
 with the lhs sum up to the bound.
 Nothing is checked at load time.
 
-Each kind has one check, which returns (ok, detail); check_entry builds
+Each kind has one check, which returns (ok, detail); run_catalog builds
 the entry's Row from it.  A check reads its run's record, a _Run: the
 catalog, order and bound, the sieve answers and one memo per kind of
 series work, so each distinct identity, decomposition and sum list is
@@ -271,11 +271,7 @@ def _parse_payload(
         found = _memo_sums(text, sep, terms)
         if found is not None:
             return found
-        if sep == "~":
-            return dsl.parse_chain(text)
-        if sep == "|":
-            return dsl.parse_claims(text)
-        return [dsl.parse_polygonal_sum(text)]
+        return dsl.parse_sums(text, sep) if sep else [dsl.parse_polygonal_sum(text)]
 
     try:
         if entry.kind == "identity":
@@ -288,10 +284,7 @@ def _parse_payload(
             digits = value("modulus")
             if not (digits.isascii() and digits.isdigit()):
                 raise CatalogError("modulus must be written in ASCII digits")
-            try:
-                modulus = int(digits)
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise CatalogError("modulus has too many digits") from None
+            modulus = _parse_digits(digits, "modulus")
             rhs = dsl.parse_theta_expression(value("rhs"))
             entry.decomposition = Decomposition(lhs.terms[0], modulus, rhs.terms)
             if "base" in entry.fields:
@@ -310,10 +303,8 @@ def _parse_payload(
             via = entry.via and re.fullmatch(r"\S+(\s+r([0-9]+))?", value("via"))
             if entry.via is not None and not via:
                 raise CatalogError("via must be 'KEY' or 'KEY rN'")
-            try:  # set on every entry of these kinds, which then share one key layout
-                entry.residue = int(via[2]) if via and via[2] else None
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise CatalogError("via residue term has too many digits") from None
+            # Set on every entry of these kinds, which then share one key layout.
+            entry.residue = _parse_digits(via[2], "via residue term") if via and via[2] else None
             entry.anchor = entry.fields.get("anchor")
             if entry.anchor is not None and value("anchor") != "none":
                 raise CatalogError("anchor must be 'none'")
@@ -326,10 +317,16 @@ def _parse_proof(text: str) -> tuple[tuple[str, int], ...]:
     steps = [re.fullmatch(r"\s*(\S+)\s+q(?:\^([1-9][0-9]*))?\s*", step) for step in text.split(",")]
     if not all(steps):
         raise CatalogError("proof must be steps 'KEY q^N' with N >= 1, separated by ','")
+    return tuple((m[1], _parse_digits(m[2] or "1", "proof step scaling")) for m in steps)
+
+
+def _parse_digits(digits: str, what: str) -> int:
+    """int(digits) of a run of ASCII digits, whose only error is a length
+    over sys.get_int_max_str_digits(): a CatalogError that names what."""
     try:
-        return tuple((m[1], int(m[2] or 1)) for m in steps)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise CatalogError("proof step scaling has too many digits") from None
+        return int(digits)
+    except ValueError:
+        raise CatalogError(f"{what} has too many digits") from None
 
 
 def default_catalog_dir():
@@ -586,15 +583,6 @@ class _Run:
         self.sums = cache(derive_sums)
 
 
-def check_entry(entry: CatalogEntry, run: _Run) -> Row:
-    """Check one entry of a kind in FIELDS, reading its sieve answers from
-    run.sieve, which must have been asked every question the check reads
-    and answered.  run_catalog learns those questions by running the check
-    once against an _Asker of the table first."""
-    ok, detail = _CHECKS[entry.kind](entry, run)
-    return Row(entry.key, entry.kind, "pass" if ok else "fail", detail)
-
-
 SCHEMA = "thetasums-report/1"
 
 
@@ -670,4 +658,8 @@ def run_catalog(
         _CHECKS[e.kind](e, run)
     table.answer()
     run.sieve = table
-    return Report(order, bound, [check_entry(e, run) for e in selected])
+    rows = []
+    for e in selected:
+        ok, detail = _CHECKS[e.kind](e, run)
+        rows.append(Row(e.key, e.kind, "pass" if ok else "fail", detail))
+    return Report(order, bound, rows)

@@ -1,4 +1,7 @@
-"""Text grammar for theta expressions, polygonal sums, and catalog files.
+"""Text grammar for theta expressions, polygonal sums, and sum lists.
+
+The catalog's field values are written in these grammars; the block,
+header, via and proof syntax of a catalog file is catalog.py's.
 
 Theta expressions:  expression := term ('+' term)*
                     term       := [INT '*']? [qpow '*']? factor ('*' factor)*
@@ -8,8 +11,8 @@ Theta expressions:  expression := term ('+' term)*
                     qpow       := 'q' ['^' INT]
 Polygonal sums:     sum  := term ('+' term)*
                     term := [INT '*']? ('p' INT | 'x(' INT 'x' [('+'|'-') INT] ')/2')
-Chains:             chain  := sum ('~' sum)*
-Claims:             claims := sum ('|' sum)*
+Sum lists:          chain  := sum ('~' sum)*
+                    claims := sum ('|' sum)*
 
 The grammar is ASCII: a token is a run of digits, a run of letters, or
 one of + - * ^ ( ) , / ~ |.  Whitespace separates tokens and is otherwise
@@ -245,14 +248,10 @@ def parse_polygonal_sum(text: str) -> PolygonalSum:
     return _finish(p, p.polygonal_sum())
 
 
-def parse_chain(text: str) -> list[PolygonalSum]:
+def parse_sums(text: str, sep: str) -> list[PolygonalSum]:
+    """The sums of a sum list joined by sep: '~' for a chain, '|' for claims."""
     p = _Parser(text)
-    return _finish(p, p.separated(p.polygonal_sum, "~"))
-
-
-def parse_claims(text: str) -> list[PolygonalSum]:
-    p = _Parser(text)
-    return _finish(p, p.separated(p.polygonal_sum, "|"))
+    return _finish(p, p.separated(p.polygonal_sum, sep))
 
 
 # -- serialization ------------------------------------------------------------

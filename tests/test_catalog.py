@@ -20,7 +20,7 @@ from thetasums.catalog import (
     parse_catalog_text,
     run_catalog,
 )
-from thetasums.dsl import ParseError, parse_chain, parse_claims, parse_polygonal_sum
+from thetasums.dsl import ParseError, parse_polygonal_sum, parse_sums
 from thetasums.polygonal import (
     QuadTerm,
     SieveTable,
@@ -331,8 +331,12 @@ def test_a_header_reads_as_its_regular_expressions_read_it(key, kind, before, af
             + Q1_TEXT.split("\n", 1)[1],
             "a.cat:5: [Qx]: line 1, cols 21-21: unknown term 'q'",
         ),
+        ("[x] kind: equivalence\nchain: p3 + p4", "a.cat:5: [x]: chain needs at least two sums"),
+        # A one-sum field is no sum list: its '~' is the dsl's trailing input.
+        ("[x] kind: base-fact\nsum: p3 ~ p4", "a.cat:5: [x]: line 1, cols 4-4: trailing input '~'"),
     ],
-    ids=["dsl-error", "missing-field", "bad-certify", "bad-decomposition", "later-claim"],
+    ids=["dsl-error", "missing-field", "bad-certify", "bad-decomposition", "later-claim",
+         "one-sum-chain", "list-in-a-one-sum-field"],
 )
 def test_entry_errors_name_the_file_and_line_of_the_field(tmp_path, entry, message):
     path = tmp_path / "a.cat"
@@ -1217,8 +1221,8 @@ def test_drawn_sum_fields_load_as_whole_field_parses_load_them(fields):
 
 WHOLE_FIELD_PARSES = {
     "": lambda text: [parse_polygonal_sum(text)],
-    "~": parse_chain,
-    "|": parse_claims,
+    "~": lambda text: parse_sums(text, "~"),
+    "|": lambda text: parse_sums(text, "|"),
 }
 
 
@@ -1243,6 +1247,28 @@ def test_a_piece_of_more_than_one_term_is_parsed_whole(monkeypatch):
     assert entry.target == parse_polygonal_sum("p3 + p5 + p4")
 
 
+@pytest.mark.parametrize(
+    "sep, block, text, message",
+    [
+        ("~", "[k] kind: equivalence\nchain: {}\n", "p3 ~ p4 | p5",
+         "line 1, cols 9-9: trailing input '|'"),
+        ("|", Q1_TEXT.replace("[Q1]", "[k]") + "claims: {}\n", "p3 + p4 | p5 ~ p6",
+         "line 1, cols 14-14: trailing input '~'"),
+    ],
+    ids=["chain", "claims"],
+)
+def test_a_malformed_sum_list_fails_with_the_dsl_message_and_span(sep, block, text, message):
+    # Each list is split at its own separator only, so the other one is
+    # trailing input, at the same span through dsl and through a load.
+    with pytest.raises(ParseError) as info:
+        parse_sums(text, sep)
+    assert str(info.value) == message
+    with pytest.raises(CatalogError) as info:
+        parse_catalog_text(block.format(text))
+    line = block.count("\n")
+    assert str(info.value) == f"<catalog>:{line}: [k]: {message}"
+
+
 def test_a_packaged_load_parses_each_term_text_once_per_file(monkeypatch):
     parsed = []
     parse = dsl.parse_polygonal_sum
@@ -1251,12 +1277,11 @@ def test_a_packaged_load_parses_each_term_text_once_per_file(monkeypatch):
         parsed.append(text)
         return parse(text)
 
-    def whole(text):
+    def whole(text, sep):
         raise AssertionError("a valid field parsed whole")
 
     monkeypatch.setattr(dsl, "parse_polygonal_sum", spy)
-    monkeypatch.setattr(dsl, "parse_chain", whole)
-    monkeypatch.setattr(dsl, "parse_claims", whole)
+    monkeypatch.setattr(dsl, "parse_sums", whole)
     per_file = []
     for path in sorted(DATA.glob("*.cat")):
         parsed.clear()

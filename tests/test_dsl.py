@@ -8,8 +8,8 @@ from thetasums import dsl
 from thetasums.catalog import load_catalog, parse_catalog_text
 from thetasums.dsl import (
     ParseError,
-    parse_chain,
     parse_polygonal_sum,
+    parse_sums,
     parse_theta_expression,
     serialize,
 )
@@ -104,10 +104,18 @@ MALFORMED = [
 ]
 
 
+PARSERS = {
+    "theta_expression": parse_theta_expression,
+    "polygonal_sum": parse_polygonal_sum,
+    "chain": lambda text: parse_sums(text, "~"),
+    "claims": lambda text: parse_sums(text, "|"),
+}
+
+
 @pytest.mark.parametrize("grammar, text, message", MALFORMED)
 def test_malformed_input_errors_are_pinned(grammar, text, message):
     with pytest.raises(ParseError) as info:
-        getattr(dsl, f"parse_{grammar}")(text)
+        PARSERS[grammar](text)
     assert str(info.value) == message
 
 
@@ -151,7 +159,7 @@ def test_valid_text_never_looks_for_a_token_start(monkeypatch):
     assert len(load_catalog()) == 363
     # The '+' inside x(3x+1)/2 joins no two terms of the chain.
     (entry,) = parse_catalog_text("[k] kind: equivalence\nchain: x(3x+1)/2 + p4 ~ p5 + p4")
-    assert entry.chain == tuple(parse_chain("p5 + p4 ~ p5 + p4"))
+    assert entry.chain == tuple(parse_sums("p5 + p4 ~ p5 + p4", "~"))
     with pytest.raises(AssertionError, match="valid text"):
         parse_theta_expression("phi(q")
 
@@ -170,7 +178,7 @@ def test_parse_polygonal_sums():
 
 
 def test_parse_chain():
-    chain = parse_chain("p3 ~ p6 ~ x(4x-2)/2")
+    chain = parse_sums("p3 ~ p6 ~ x(4x-2)/2", "~")
     assert len(chain) == 3
 
 
